@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.Datasets
 import repro.exp.Experiments
 
 /** Fig. 5/6 (+ Fig. 9 pareto at k=100) — the main end-to-end comparison:
@@ -17,19 +16,12 @@ import repro.exp.Experiments
   */
 class EndToEndBench extends SparkSpec {
 
-  private val specs = Seq(Datasets.adult, Datasets.census, Datasets.popsim1M, Datasets.popsim)
-  private val ks = Seq(20, 60, 100)
-
   private val all = scala.collection.mutable.ArrayBuffer[Experiments.Run]()
 
-  for (spec <- specs; k <- ks) {
+  for ((spec, k) <- Experiments.endToEndCells(proportional = false)) {
     test(s"Fig 5/6: ${spec.name} k=$k (equal k_j)") {
       val rows = Experiments.endToEnd(spark, spec, k, proportional = false)
       all ++= rows
-      Experiments.printTable(
-        s"Fig 5/6 (${spec.name}, k=$k, equal): diversity & runtime",
-        Seq("Algorithm", "diversity", "time", "missed"),
-        rows.map(r => Seq(r.algo, r.divStr, r.timeStr, f"${r.missedTotal}%.1f")))
 
       val mfd = rows.find(_.algo.startsWith("MFD")).get
       assert(!mfd.dnf, "MFD must always finish")

@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.Datasets
 import repro.exp.Experiments
 
 /** Fig. 3/4 — micro-benchmark: MFD diversity and runtime for early-stopping
@@ -12,17 +11,10 @@ import repro.exp.Experiments
 class MicroBenchGSweep extends SparkSpec {
 
   test("Fig 3/4: g sweep on Adult") {
-    val spec = Datasets.adult
-    val rows = Experiments.fairnessSweep(spark, spec, Seq(20, 60, 100),
-      Seq(0.1, 0.3, 0.5, 0.7), reps = 3)
-    Experiments.printTable(
-      "Fig 3/4 (Adult): diversity & runtime vs g, 3 runs",
-      Seq("k", "g", "diversity", "time (ms)", "missed total"),
-      rows.map(r => Seq(r.k.toString, r.g.toString, f"${r.diversity}%.3f",
-        r.millis.toString, f"${r.missedTotal}%.1f")))
+    val rows = Experiments.gSweep(spark)
 
     // Shape: for each k, diversity across g stays within a 2x band …
-    for (k <- Seq(20, 60, 100)) {
+    for (k <- Experiments.GSweepKs) {
       val divs = rows.filter(_.k == k).map(_.diversity)
       assert(divs.min > 0)
       assert(divs.max / divs.min < 2.5, s"k=$k diversity spread $divs")

@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.Datasets
 import repro.exp.Experiments
 
 /** Fig. 7/8 — the proportional-k_j variant of the end-to-end comparison
@@ -11,13 +10,9 @@ import repro.exp.Experiments
   */
 class ProportionalBench extends SparkSpec {
 
-  for (spec <- Seq(Datasets.adult, Datasets.popsim1M); k <- Seq(20, 100)) {
+  for ((spec, k) <- Experiments.endToEndCells(proportional = true)) {
     test(s"Fig 7/8: ${spec.name} k=$k (proportional k_j)") {
       val rows = Experiments.endToEnd(spark, spec, k, proportional = true)
-      Experiments.printTable(
-        s"Fig 7/8 (${spec.name}, k=$k, proportional): diversity & runtime",
-        Seq("Algorithm", "diversity", "time", "missed"),
-        rows.map(r => Seq(r.algo, r.divStr, r.timeStr, f"${r.missedTotal}%.1f")))
       val mfd = rows.find(_.algo.startsWith("MFD")).get
       assert(!mfd.dnf && mfd.diversity > 0)
     }

@@ -12,14 +12,9 @@ import repro.exp.Experiments
   */
 class StreamingBench extends SparkSpec {
 
-  for (k <- Seq(10, 20, 50)) {
+  for (k <- Experiments.StreamKs) {
     test(s"Fig 10: streaming on Beer, k=$k") {
       val rows = Experiments.streaming(spark, k)
-      Experiments.printTable(
-        s"Fig 10 (Beer, k=$k): update / post-process / diversity",
-        Seq("Algorithm", "update (us/item)", "post (ms)", "diversity", "stored"),
-        rows.map(r => Seq(r.algo, f"${r.updateMicros}%.2f", r.postMillis.toString,
-          f"${r.diversity}%.3f", r.stored.toString)))
 
       val mfd = rows.find(_.algo == "StreamMFD").get
       val s15 = rows.find(_.algo.contains("0.15")).get

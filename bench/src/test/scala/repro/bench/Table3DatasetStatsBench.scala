@@ -11,19 +11,10 @@ import repro.exp.Experiments
 class Table3DatasetStatsBench extends SparkSpec {
 
   test("Table 3: dataset statistics (paper vs synthetic at bench scale)") {
-    val rows = Datasets.all.map { spec =>
-      val df = Datasets.generate(spark, spec, Experiments.benchScale(spec))
-      val stats = df.agg(
-        countDistinct(col("color")).as("m"),
-        count(lit(1)).as("n")).collect()(0)
-      val mGot = stats.getLong(0)
-      val nGot = stats.getLong(1)
-      assert(mGot == spec.m, s"${spec.name}: m=$mGot != ${spec.m}")
-      assert(nGot == spec.n(Experiments.benchScale(spec)))
-      Seq(spec.name, spec.m.toString, spec.d.toString, spec.nPaper.toString, nGot.toString)
+    Experiments.datasetStats(spark).foreach { r =>
+      assert(r.m == r.spec.m, s"${r.spec.name}: m=${r.m} != ${r.spec.m}")
+      assert(r.n == r.spec.n(Experiments.benchScale(r.spec)))
     }
-    Experiments.printTable("Table 3: dataset statistics",
-      Seq("Dataset", "m", "d", "n (paper)", "n (ours)"), rows)
   }
 
   test("Table 3: per-color histogram oracle-checked (Census)") {

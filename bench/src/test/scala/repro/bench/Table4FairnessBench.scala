@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.Datasets
 import repro.exp.Experiments
 
 /** Table 4 — average number of points missed per color by MFD-0.1 and
@@ -12,20 +11,9 @@ import repro.exp.Experiments
   */
 class Table4FairnessBench extends SparkSpec {
 
-  private val ks = Seq(20, 40, 60, 80, 100)
-
-  for (spec <- Seq(Datasets.diabetes, Datasets.popsim)) {
+  for (spec <- Experiments.Table4Specs) {
     test(s"Table 4: missed points per color on ${spec.name}") {
-      val rows = Experiments.fairnessSweep(spark, spec, ks, Seq(0.1, 0.3), reps = 5)
-      val colors = (0 until spec.m).toSeq
-      val printed = rows.map { r =>
-        Seq(r.dataset, r.k.toString, r.g.toString) ++
-          colors.map(c => f"${r.missedPerColor.getOrElse(c, 0.0)}%.1f") :+
-          f"${r.missedTotal}%.1f"
-      }
-      Experiments.printTable(
-        s"Table 4 (${spec.name}): avg missed per color, 5 runs",
-        Seq("Dataset", "k", "g") ++ colors.map(c => s"c$c") :+ "total", printed)
+      val rows = Experiments.table4(spark, spec)
 
       // Shape assertions mirroring the paper's takeaway: MFD-0.3 misses at
       // most a small number of points in total on average.

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.Dataset
 
 /** Distributed coreset construction — the Spark dataflow phase of the
   * reproduction (the `O(nk)` part of Corollary 4.3; everything downstream
@@ -18,7 +18,7 @@ import org.apache.spark.sql.{Dataset, SparkSession}
   * final set is a constant-factor k-center solution — exactly what
   * Theorem 4.2 needs from `Alg` (the constant only rescales the ε of the
   * coreset). `CoresetSpec` compares the two-round radius against the
-  * single-pass one empirically.
+  * single-pass reference `Coreset.local` empirically.
   */
 object CoresetSpark {
 
@@ -34,17 +34,6 @@ object CoresetSpark {
     }
     partial
       .groupByKey(_.color)
-      .flatMapGroups { (_, it) => Gonzalez.centers(it.toArray, kPrime).iterator }
-      .collect()
-  }
-
-  /** Single-round reference: one Gonzalez(k') per color class, each color
-    * class processed in one task. Matches `Coreset.local` output quality.
-    */
-  def singleRound(ds: Dataset[LabeledPoint], kPrime: Int): Array[LabeledPoint] = {
-    val spark = ds.sparkSession
-    import spark.implicits._
-    ds.groupByKey(_.color)
       .flatMapGroups { (_, it) => Gonzalez.centers(it.toArray, kPrime).iterator }
       .collect()
   }

@@ -8,8 +8,7 @@ package repro.core
   *    the FairDiv diversity (min pairwise distance among the k centers);
   *  - node samples of the QFairDiv range structure.
   *
-  * O(nk) time, O(n) space. Deterministic given the seed (the seed picks the
-  * first center; `seed < 0` starts from index 0).
+  * O(nk) time, O(n) space. Deterministic: index 0 is the first center.
   */
 object Gonzalez {
 
@@ -19,16 +18,13 @@ object Gonzalez {
     */
   final case class Result(centers: Array[Int], radius: Double)
 
-  def run(pts: Array[LabeledPoint], k: Int, seed: Long = -1L): Result = {
+  def run(pts: Array[LabeledPoint], k: Int): Result = {
     val n = pts.length
     if (n == 0) return Result(Array.empty, 0.0)
     val kk = math.min(k, n)
-    val first =
-      if (seed < 0) 0
-      else new java.util.Random(seed).nextInt(n)
     val minD = Array.fill(n)(Double.PositiveInfinity)
     val centers = new Array[Int](kk)
-    var cur = first
+    var cur = 0
     var c = 0
     while (c < kk) {
       centers(c) = cur
@@ -51,8 +47,8 @@ object Gonzalez {
   }
 
   /** Selected points (not indices). */
-  def centers(pts: Array[LabeledPoint], k: Int, seed: Long = -1L): Array[LabeledPoint] =
-    run(pts, k, seed).centers.map(pts)
+  def centers(pts: Array[LabeledPoint], k: Int): Array[LabeledPoint] =
+    run(pts, k).centers.map(pts)
 
   /** Diversity (min pairwise distance) of a colorblind Gonzalez run — the
     * paper's practical upper bound for the γ sweep.

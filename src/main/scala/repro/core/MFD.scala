@@ -74,6 +74,15 @@ object MFD {
   /** Degenerate geometry or exhausted sweep — `selected` is a valid fair set. */
   private[core] final case class Fallback(selected: Array[LabeledPoint], gamma: Double) extends SweepOutcome
 
+  /** `k` clipped to what `pts` holds: colors absent from `pts` are dropped,
+    * the others are capped at their point count. Callers whose input may
+    * lack a color or hold fewer than `k_j` of it pass this to [[run]].
+    */
+  def attainable(pts: Array[LabeledPoint], k: Map[Int, Int]): Map[Int, Int] = {
+    val counts = Points.colorCounts(pts.toSeq)
+    k.flatMap { case (c, kc) => counts.get(c).map(n => c -> math.min(kc, n)) }
+  }
+
   def run(pts: Array[LabeledPoint], k: Map[Int, Int], cfg: Config = Config()): Result = {
     sweep(pts, k, cfg) match {
       case Solved(f) =>
@@ -90,9 +99,9 @@ object MFD {
     */
   private[core] def sweep(pts: Array[LabeledPoint], k: Map[Int, Int], cfg: Config): SweepOutcome = {
     val byColor = pts.groupBy(_.color)
+    def ofColor(c: Int): Array[LabeledPoint] = byColor.getOrElse(c, Array.empty[LabeledPoint])
     k.foreach { case (c, kc) =>
-      require(byColor.getOrElse(c, Array.empty[LabeledPoint]).length >= kc,
-        s"infeasible input: color $c has ${byColor.getOrElse(c, Array.empty[LabeledPoint]).length} < k_j=$kc points")
+      require(ofColor(c).length >= kc, s"infeasible input: color $c has ${ofColor(c).length} < k_j=$kc points")
     }
     val kTotal = k.values.sum
     require(kTotal >= 1, "k must be >= 1")
@@ -108,7 +117,7 @@ object MFD {
     var gamma = Gonzalez.diversityUpperBound(pts, math.max(2, kTotal))
     if (!java.lang.Double.isFinite(gamma) || gamma <= 0.0) {
       // Degenerate geometry (duplicates / singleton): any fair pick is optimal.
-      val sel = k.toSeq.flatMap { case (c, kc) => byColor(c).take(kc) }
+      val sel = k.toSeq.flatMap { case (c, kc) => ofColor(c).take(kc) }
       return Fallback(sel.toArray, 0.0)
     }
 
@@ -127,7 +136,7 @@ object MFD {
     }
     // Sweep exhausted (numerically pathological input): fall back to a fair
     // but diversity-agnostic pick so callers always get a valid-fairness set.
-    val sel = k.toSeq.flatMap { case (c, kc) => Gonzalez.centers(byColor(c), kc) }
+    val sel = k.toSeq.flatMap { case (c, kc) => Gonzalez.centers(ofColor(c), kc) }
     Fallback(sel.toArray, gamma)
   }
 

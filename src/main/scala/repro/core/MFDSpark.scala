@@ -11,18 +11,12 @@ import org.apache.spark.sql.{DataFrame, Dataset}
 object MFDSpark {
 
   final case class Timed(result: MFD.Result, coresetMillis: Long, mwuMillis: Long,
-                         coresetSize: Int) {
-    def totalMillis: Long = coresetMillis + mwuMillis
-  }
+                         coresetSize: Int)
 
   /** Run FairDiv over a typed dataset. `k` maps color → lower bound. */
-  def run(ds: Dataset[LabeledPoint], k: Map[Int, Int], cfg: MFD.Config = MFD.Config(),
-          distributedCoreset: Boolean = true): Timed = {
+  def run(ds: Dataset[LabeledPoint], k: Map[Int, Int], cfg: MFD.Config = MFD.Config()): Timed = {
     val t0 = System.nanoTime()
-    val kPrime = k.values.sum
-    val coreset =
-      if (distributedCoreset) CoresetSpark.distributed(ds, kPrime)
-      else CoresetSpark.singleRound(ds, kPrime)
+    val coreset = CoresetSpark.distributed(ds, k.values.sum)
     val t1 = System.nanoTime()
     val res = MFD.run(coreset, k, cfg)
     val t2 = System.nanoTime()

@@ -1,15 +1,17 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.functions.{col, count, countDistinct, lit}
 import repro.baselines._
 import repro.core._
 import repro.data.Datasets
 import repro.stream.StreamMFD
 
 /** Experiment runner shared by the bench suites (`bench/`) and the
-  * spark-submit entrypoints (`jobs/`). Each public method reproduces one
-  * table/figure of the paper's §6 and returns printable rows; the bench
-  * suites print them as markdown tables (recorded in EXPERIMENTS.md).
+  * spark-submit entry point `repro.jobs.Main`. Each public experiment method
+  * reproduces one table/figure of the paper's §6 (or one cell of it), prints
+  * it as a markdown table (recorded in EXPERIMENTS.md) and returns the rows
+  * for the bench suites' shape assertions.
   *
   * Scaling knobs (paper → here):
   *  - data scale: per-dataset factor (small datasets kept at full n, the
@@ -49,13 +51,20 @@ object Experiments {
       ds
     })
 
-  /** Clip k to colors that actually exist with enough points. */
-  def attainable(pts: Array[LabeledPoint], k: Map[Int, Int]): Map[Int, Int] = {
-    val counts = Points.colorCounts(pts.toSeq)
-    k.flatMap { case (c, kc) =>
-      val n = counts.getOrElse(c, 0)
-      if (n == 0) None else Some(c -> math.min(kc, n))
+  /** Table 3: `m` and `n` of a synthetic stand-in at bench scale, as counted
+    * by a Spark aggregate over the generated DataFrame.
+    */
+  final case class StatsRow(spec: Datasets.Spec, m: Long, n: Long)
+
+  def datasetStats(spark: SparkSession): Seq[StatsRow] = {
+    val rows = Datasets.all.map { spec =>
+      val stats = Datasets.generate(spark, spec, benchScale(spec))
+        .agg(countDistinct(col("color")), count(lit(1))).collect()(0)
+      StatsRow(spec, stats.getLong(0), stats.getLong(1))
     }
+    printTable("Table 3: dataset statistics", Seq("Dataset", "m", "d", "n (paper)", "n (ours)"),
+      rows.map(r => Seq(r.spec.name, r.m.toString, r.spec.d.toString, r.spec.nPaper.toString, r.n.toString)))
+    rows
   }
 
   final case class Run(algo: String, dataset: String, k: Int, diversity: Double,
@@ -99,7 +108,7 @@ object Experiments {
     val ds = loadDS(spark, spec)
     val coreset = CoresetSpark.distributed(ds, kTotal)
     val coresetMs = (System.nanoTime() - t0) / 1000000
-    val kAdj = attainable(coreset, k)
+    val kAdj = MFD.attainable(coreset, k)
     var divSum = 0.0; var missSum = 0.0; var msSum = 0L; var ok = 0
     for (rep <- 1 to reps) {
       val cfg = MFD.Config(eps = eps, g = g, seed = 1000L * rep, deadlineNanos = deadline)
@@ -115,6 +124,15 @@ object Experiments {
     else Run(s"MFD-$g", spec.name, kLabel, divSum / ok, coresetMs + msSum / ok, dnf = false, missSum / ok)
   }
 
+  /** The (dataset, k) cells of Fig. 5/6 (equal k_j) or Fig. 7/8
+    * (proportional). The paper finds the proportional case identical in
+    * shape, so one small and one large dataset suffice there.
+    */
+  def endToEndCells(proportional: Boolean): Seq[(Datasets.Spec, Int)] =
+    if (proportional) for (spec <- Seq(Datasets.adult, Datasets.popsim1M); k <- Seq(20, 100)) yield (spec, k)
+    else for (spec <- Seq(Datasets.adult, Datasets.census, Datasets.popsim1M, Datasets.popsim);
+              k <- Seq(20, 60, 100)) yield (spec, k)
+
   /** The paper's Fig. 5/6 (equal k_j) / Fig. 7/8 (proportional) comparison
     * on one dataset and one k: every algorithm, diversity + runtime.
     */
@@ -122,7 +140,7 @@ object Experiments {
                proportional: Boolean, mfdReps: Int = 3): Seq[Run] = {
     val pts = load(spark, spec)
     val kRaw = if (proportional) Datasets.proportionalK(spec, kTotal) else Datasets.equalK(spec.m, kTotal)
-    val k = attainable(pts, kRaw)
+    val k = MFD.attainable(pts, kRaw)
     val rows = scala.collection.mutable.ArrayBuffer[Run]()
     rows += runMFD(spark, spec, pts, k, kTotal, g = 0.3, reps = mfdReps)
     rows += runBaseline("FairFlow", spec.name, k, kTotal, d => FairFlow.select(pts, k, d))
@@ -131,6 +149,10 @@ object Experiments {
     rows += runBaseline("SFDM-2(e=.15)", spec.name, k, kTotal, d => SFDM2.select(pts, k, 0.15, d))
     rows += runBaseline("SFDM-2(e=.75)", spec.name, k, kTotal, d => SFDM2.select(pts, k, 0.75, d))
     rows += runBaseline("Random", spec.name, k, kTotal, _ => RandomSelect.select(pts, k))
+    val (fig, kind) = if (proportional) ("7/8", "proportional") else ("5/6", "equal")
+    printTable(s"Fig $fig (${spec.name}, k=$kTotal, $kind): diversity & runtime",
+      Seq("Algorithm", "diversity", "time", "missed"),
+      rows.toSeq.map(r => Seq(r.algo, r.divStr, r.timeStr, f"${r.missedTotal}%.1f")))
     rows.toSeq
   }
 
@@ -141,16 +163,41 @@ object Experiments {
                                missedPerColor: Map[Int, Double], missedTotal: Double,
                                diversity: Double, millis: Long)
 
-  def fairnessSweep(spark: SparkSession, spec: Datasets.Spec, ks: Seq[Int],
-                    gs: Seq[Double], reps: Int = 5): Seq[FairnessRow] = {
+  val Table4Specs: Seq[Datasets.Spec] = Seq(Datasets.diabetes, Datasets.popsim)
+
+  /** Table 4 on one dataset: MFD-0.1 and MFD-0.3, k ∈ {20..100}, 5 runs. */
+  def table4(spark: SparkSession, spec: Datasets.Spec): Seq[FairnessRow] = {
+    val rows = fairnessSweep(spark, spec, Seq(20, 40, 60, 80, 100), Seq(0.1, 0.3), reps = 5)
+    val colors = 0 until spec.m
+    printTable(s"Table 4 (${spec.name}): avg missed per color, 5 runs",
+      Seq("Dataset", "k", "g") ++ colors.map(c => s"c$c") :+ "total",
+      rows.map(r => Seq(r.dataset, r.k.toString, r.g.toString) ++
+        colors.map(c => f"${r.missedPerColor.getOrElse(c, 0.0)}%.1f") :+ f"${r.missedTotal}%.1f"))
+    rows
+  }
+
+  val GSweepKs: Seq[Int] = Seq(20, 60, 100)
+
+  /** Fig. 3/4: the early-stopping g sweep on Adult, 3 runs per cell. */
+  def gSweep(spark: SparkSession): Seq[FairnessRow] = {
+    val rows = fairnessSweep(spark, Datasets.adult, GSweepKs, Seq(0.1, 0.3, 0.5, 0.7), reps = 3)
+    printTable("Fig 3/4 (Adult): diversity & runtime vs g, 3 runs",
+      Seq("k", "g", "diversity", "time (ms)", "missed total"),
+      rows.map(r => Seq(r.k.toString, r.g.toString, f"${r.diversity}%.3f",
+        r.millis.toString, f"${r.missedTotal}%.1f")))
+    rows
+  }
+
+  private def fairnessSweep(spark: SparkSession, spec: Datasets.Spec, ks: Seq[Int],
+                            gs: Seq[Double], reps: Int): Seq[FairnessRow] = {
     val pts = load(spark, spec)
     val ds = loadDS(spark, spec)
     for (kTotal <- ks; g <- gs) yield {
-      val k = attainable(pts, Datasets.equalK(spec.m, kTotal))
+      val k = MFD.attainable(pts, Datasets.equalK(spec.m, kTotal))
       val t0 = System.nanoTime()
       val coreset = CoresetSpark.distributed(ds, kTotal)
       val coresetMs = (System.nanoTime() - t0) / 1000000
-      val kAdj = attainable(coreset, k)
+      val kAdj = MFD.attainable(coreset, k)
       val missed = scala.collection.mutable.Map[Int, Double]().withDefaultValue(0.0)
       var divSum = 0.0; var msSum = 0L
       for (rep <- 1 to reps) {
@@ -174,10 +221,12 @@ object Experiments {
   final case class StreamRow(algo: String, k: Int, updateMicros: Double,
                              postMillis: Long, diversity: Double, stored: Int)
 
+  val StreamKs: Seq[Int] = Seq(10, 20, 50)
+
   def streaming(spark: SparkSession, kTotal: Int): Seq[StreamRow] = {
     val spec = Datasets.beer
     val pts = load(spark, spec)
-    val k = attainable(pts, Datasets.equalK(spec.m, kTotal))
+    val k = MFD.attainable(pts, Datasets.equalK(spec.m, kTotal))
     val rows = scala.collection.mutable.ArrayBuffer[StreamRow]()
 
     // StreamMFD.
@@ -204,10 +253,14 @@ object Experiments {
       rows += StreamRow(s"SFDM-2(e=$eps)", kTotal, updNs / 1000.0 / pts.length, postMs,
         Points.diversity(sel.toSeq), algo.storedCount)
     }
+    printTable(s"Fig 10 (Beer, k=$kTotal): update / post-process / diversity",
+      Seq("Algorithm", "update (us/item)", "post (ms)", "diversity", "stored"),
+      rows.toSeq.map(r => Seq(r.algo, f"${r.updateMicros}%.2f", r.postMillis.toString,
+        f"${r.diversity}%.3f", r.stored.toString)))
     rows.toSeq
   }
 
-  /** Markdown-ish table printer used by benches and jobs. */
+  /** Markdown-ish table printer used by every experiment. */
   def printTable(title: String, header: Seq[String], rows: Seq[Seq[String]]): Unit = {
     println(s"\n### $title")
     println(header.mkString("| ", " | ", " |"))

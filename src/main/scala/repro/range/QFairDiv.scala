@@ -108,17 +108,14 @@ final class QFairDiv(pts: Array[LabeledPoint], kMax: Int) {
       .flatMap(g => Gonzalez.centers(g, math.min(kMax, kTotal))).toArray
   }
 
-  /** FairDiv over `P ∩ R`: range coreset + MFD. `k_j` are clipped to what the
-    * range contains (a query rectangle may simply lack a color).
+  /** FairDiv over `P ∩ R`: range coreset + MFD. `k_j` are clipped by
+    * [[MFD.attainable]] (a query rectangle may simply lack a color).
     */
   def query(qlo: Array[Double], qhi: Array[Double], k: Map[Int, Int],
             cfg: MFD.Config = MFD.Config()): MFD.Result = {
     val kTotal = k.values.sum
     val coreset = rangeCoreset(qlo, qhi, kTotal)
-    val attainable = k.flatMap { case (c, kc) =>
-      val have = coreset.count(_.color == c)
-      if (have == 0) None else Some(c -> math.min(kc, have))
-    }
+    val attainable = MFD.attainable(coreset, k)
     require(attainable.nonEmpty, "query rectangle contains no point of any requested color")
     MFD.run(coreset, attainable, cfg)
   }

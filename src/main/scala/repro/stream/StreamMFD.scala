@@ -29,15 +29,12 @@ final class StreamMFD(k: Map[Int, Int], cfg: MFD.Config = MFD.Config()) {
 
   def storedCount: Int = perColor.values.map(_.centers.length).sum
 
-  /** Build a FairDiv solution from the synopsis. Colors required by `k` but
-    * scarce in the stream make MFD's input check fail — callers with
-    * unconstrained streams should pass attainable k_j (as the bench does).
+  /** Build a FairDiv solution from the synopsis, with `k` clipped by
+    * [[MFD.attainable]]: a color scarce in the stream gets what the synopsis
+    * holds of it.
     */
   def postProcess(deadlineNanos: Long = Deadline.None): MFD.Result = {
     val syn = synopsis
-    val attainable = k.map { case (c, kc) =>
-      c -> math.min(kc, syn.count(_.color == c))
-    }
-    MFD.run(syn, attainable, cfg.copy(deadlineNanos = deadlineNanos))
+    MFD.run(syn, MFD.attainable(syn, k), cfg.copy(deadlineNanos = deadlineNanos))
   }
 }

@@ -3,8 +3,8 @@ package repro.core
 import repro.{Oracle, SparkSpec, TestUtil}
 import repro.data.Datasets
 
-/** Coreset construction — local reference, single-round Spark, and the
-  * two-round distributed pipeline. Validates sizes, per-color coverage
+/** Coreset construction — the local reference and the two-round distributed
+  * Spark pipeline. Validates sizes, per-color coverage
   * radii (composability bound), and that MFD run on the coreset preserves
   * diversity within the coreset factor.
   */
@@ -44,12 +44,10 @@ class CoresetSpec extends SparkSpec {
       val ds = spark.createDataset(pts.toSeq).repartition(8)
       val kPrime = 12
       val dist = CoresetSpark.distributed(ds, kPrime)
-      val single = CoresetSpark.singleRound(ds, kPrime)
       val local = Coreset.local(pts, kPrime)
       // Sizes: never more than m·k'.
       val m = Points.colorCounts(pts.toSeq).size
       assert(dist.length <= m * kPrime)
-      assert(single.length == local.length)
       // Composability: the two-round radius is within a constant factor of
       // the single-pass radius (theory: ≤ 4·opt vs ≤ 2·opt ⇒ ratio ≤ ~4;
       // allow slack for the greedy orderings).
@@ -58,18 +56,6 @@ class CoresetSpec extends SparkSpec {
       assert(rDist <= math.max(4.0 * rLocal, 1e-9) + 1e-9,
         s"two-round radius $rDist vs local $rLocal")
     }
-  }
-
-  test("single-round Spark coreset matches the local reference radius") {
-    val pts = TestUtil.clusteredPoints(1000, 3, 2, 6, 31L)
-    val ds = spark.createDataset(pts.toSeq).repartition(4)
-    val single = CoresetSpark.singleRound(ds, 8)
-    val local = Coreset.local(pts, 8)
-    val a = coverRadius(pts, single)
-    val b = coverRadius(pts, local)
-    // Both run Gonzalez per color; ordering inside a task may differ, so
-    // compare radii rather than identity.
-    assert(a <= 2.0 * b + 1e-9 && b <= 2.0 * a + 1e-9)
   }
 
   for (seed <- 1 to 3) {
@@ -105,11 +91,7 @@ class CoresetSpec extends SparkSpec {
     val spec = Datasets.adult
     val df = Datasets.generate(spark, spec, 0.01)
     // At this tiny scale a rare color may be absent — clip k to what exists.
-    val have = Points.fromFlatDF(df).collect().groupBy(_.color).map { case (c, g) => c -> g.length }
-    val k = Datasets.equalK(spec.m, 10).flatMap { case (c, kc) =>
-      val n = have.getOrElse(c, 0)
-      if (n == 0) None else Some(c -> math.min(kc, n))
-    }
+    val k = MFD.attainable(Points.fromFlatDF(df).collect(), Datasets.equalK(spec.m, 10))
     val sel = MFDSpark.runFlat(df, k, MFD.Config(eps = 0.5, g = 0.3))
     assert(sel.count() >= 2)
     Oracle.assertEquivalent(

@@ -39,7 +39,7 @@ class GonzalezSpec extends AnyFunSuite {
     }
   }
 
-  test("deterministic with default seed") {
+  test("deterministic") {
     val pts = TestUtil.randomPoints(100, 4, 1, 3L)
     val a = Gonzalez.run(pts, 7)
     val b = Gonzalez.run(pts, 7)

@@ -88,6 +88,18 @@ class MFDSpec extends AnyFunSuite {
     assert(res.gamma == 0.0)
   }
 
+  test("a color absent from the input with k_j = 0 does not break the fallback") {
+    val p = LabeledPoint(0, 0, Array(0.0))
+    val res = MFD.run(Array(p), Map(0 -> 1, 1 -> 0))
+    assert(res.selected.map(_.id).toSeq == Seq(0L))
+  }
+
+  test("attainable drops absent colors and clips to the count") {
+    val pts = Array.tabulate(3)(i => LabeledPoint(i.toLong, 0, Array(i.toDouble)))
+    assert(MFD.attainable(pts, Map(0 -> 5, 1 -> 2)) == Map(0 -> 3))
+    assert(MFD.attainable(pts, Map(0 -> 2)) == Map(0 -> 2))
+  }
+
   test("single color behaves like unfair max-min diversification") {
     val pts = TestUtil.randomPoints(30, 2, 1, 13L)
     val k = Map(0 -> 5)

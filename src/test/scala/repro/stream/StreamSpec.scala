@@ -2,7 +2,7 @@ package repro.stream
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.core.{Gonzalez, Points}
+import repro.core.{Gonzalez, LabeledPoint, Points}
 
 /** Streaming substrate (doubling k-center) and StreamMFD end-to-end. */
 class StreamSpec extends AnyFunSuite {
@@ -87,6 +87,12 @@ class StreamSpec extends AnyFunSuite {
       if (streamDiv >= 0.25 * offline) ok += 1
     }
     assert(ok >= 3, s"stream within 0.25x of offline only $ok/5 times")
+  }
+
+  test("StreamMFD on a duplicate stream missing a requested color is fair for what it holds") {
+    val s = new StreamMFD(Map(0 -> 2, 1 -> 2))
+    (1 to 5).foreach(i => s.insert(LabeledPoint(i.toLong, 0, Array(1.0, 1.0))))
+    assert(Points.isFair(s.postProcess().selected.toSeq, Map(0 -> 2)))
   }
 
   test("synopsis is a per-color union of at most k centers each") {
