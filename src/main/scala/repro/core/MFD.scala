@@ -58,11 +58,11 @@ object MFD {
   /** The MWU output for the first feasible γ of the sweep: the averaged
     * fractional x̂ plus the shared tree structures, so both rounding schemes
     * (expectation, Section 3.1; high-probability, Section 3.2) can consume
-    * it.
+    * it. `canon(i)` holds the canonical nodes of `B(p_i, γ/(2(1+ε)))`.
     */
   private[core] final case class Fractional(
       tree: KdTree,
-      paths: Array[Array[Int]],
+      canon: Array[Array[Int]],
       xhat: Array[Double],
       gamma: Double,
       mwuIterations: Int,
@@ -86,8 +86,7 @@ object MFD {
   def run(pts: Array[LabeledPoint], k: Map[Int, Int], cfg: Config = Config()): Result = {
     sweep(pts, k, cfg) match {
       case Solved(f) =>
-        val r = f.gamma / (2.0 * (1.0 + cfg.eps))
-        val sel = round(pts, f.tree, f.paths, f.xhat, r, cfg.eps, cfg.seed)
+        val sel = round(pts, f.tree, f.canon, f.xhat, cfg.seed)
         Result(sel, f.gamma, Points.diversity(sel.toSeq), f.mwuIterations, f.gammaSteps)
       case Fallback(sel, gamma) =>
         Result(sel, gamma, Points.diversity(sel.toSeq), 0, 0)
@@ -108,11 +107,11 @@ object MFD {
 
     val n = pts.length
     val tree = KdTree.build(pts)
-    val paths: Array[Array[Int]] = Array.tabulate(n)(tree.pathToRoot)
 
-    // Points of each constrained color, as indices into pts.
-    val colorIdx: Map[Int, Array[Int]] =
-      k.keys.map(c => c -> pts.indices.filter(pts(_).color == c).toArray).toMap
+    // Per constrained color: its points as indices into pts, and its k_j.
+    val colors = k.keys.toArray
+    val colorIdx: Array[Array[Int]] = colors.map(c => pts.indices.filter(pts(_).color == c).toArray)
+    val kOf: Array[Int] = colors.map(k)
 
     var gamma = Gonzalez.diversityUpperBound(pts, math.max(2, kTotal))
     if (!java.lang.Double.isFinite(gamma) || gamma <= 0.0) {
@@ -126,9 +125,12 @@ object MFD {
     var steps = 0
     while (steps < cfg.maxGammaSteps) {
       Deadline.check(cfg.deadlineNanos)
-      solveGamma(pts, tree, paths, colorIdx, k, gamma, cfg, T) match {
+      // Canonical node lists are a function of (point, γ) only; rounding
+      // reuses them at the same radius.
+      val canon = canonicalLists(pts, tree, gamma / (2.0 * (1.0 + cfg.eps)), cfg.eps)
+      solveGamma(tree, canon, colorIdx, kOf, kTotal, cfg, T) match {
         case Some(xhat) =>
-          return Solved(Fractional(tree, paths, xhat, gamma, T, steps))
+          return Solved(Fractional(tree, canon, xhat, gamma, T, steps))
         case None =>
           gamma *= cfg.gammaDecay
           steps += 1
@@ -140,37 +142,39 @@ object MFD {
     Fallback(sel.toArray, gamma)
   }
 
-  /** MWU solve of LP2 at diversity γ. Returns the averaged fractional x̂, or
-    * None if some oracle call was infeasible.
+  /** Canonical nodes of `B(p_i, r)` with slack `eps`, for every point `i`. */
+  private[core] def canonicalLists(pts: Array[LabeledPoint], tree: KdTree, r: Double, eps: Double): Array[Array[Int]] =
+    Array.tabulate(pts.length)(i => tree.canonicalNodes(pts(i).x, r, eps))
+
+  /** MWU solve of LP2 at the diversity γ whose canonical lists are `canon`.
+    * Returns the averaged fractional x̂, or None if some oracle call was
+    * infeasible. One iteration costs O(nodes + Σ|canon|) and allocates
+    * nothing.
     */
   private def solveGamma(
-      pts: Array[LabeledPoint],
       tree: KdTree,
-      paths: Array[Array[Int]],
-      colorIdx: Map[Int, Array[Int]],
-      k: Map[Int, Int],
-      gamma: Double,
+      canon: Array[Array[Int]],
+      colorIdx: Array[Array[Int]],
+      kOf: Array[Int],
+      kTotal: Int,
       cfg: Config,
       T: Int
   ): Option[Array[Double]] = {
-    val n = pts.length
-    val r = gamma / (2.0 * (1.0 + cfg.eps))
-    // Canonical node lists are a function of (point, γ) only — precompute.
-    val canon: Array[Array[Int]] =
-      Array.tabulate(n)(i => tree.canonicalNodes(pts(i).x, r, cfg.eps))
-
+    val n = canon.length
     val h = Array.fill(n)(1.0 / n)
     val xhat = new Array[Double](n)
     val us = new Array[Double](tree.nodeCount) // node sums, reused per iteration
-    val uw = new Array[Double](tree.nodeCount)
+    val acc = new Array[Double](tree.nodeCount) // root-path sums (Oracle) / subtree counts (Update)
     val w = new Array[Double](n)
-    val xbar = new Array[Boolean](n)
+    val xbar = new Array[Double](n) // 0/1 indicator of the oracle's pick
+    val pick = new Array[Int](colorIdx.map(_.length).max)
 
     var t = 0
     while (t < T) {
       if ((t & 63) == 0) Deadline.check(cfg.deadlineNanos)
 
-      // ---- Oracle (Algorithm 2): w_i = (h^T A)_i via node sums + root paths.
+      // ---- Oracle (Algorithm 2): w_i = (h^T A)_i = Σ of the node sums on
+      // the root path of p_i, via one top-down pass.
       Arrays.fill(us, 0.0)
       var l = 0
       while (l < n) {
@@ -178,45 +182,34 @@ object MFD {
         while (j < cs.length) { us(cs(j)) += h(l); j += 1 }
         l += 1
       }
+      tree.rootPathSums(us, acc)
       var i = 0
-      while (i < n) {
-        var s = 0.0
-        val path = paths(i); var j = 0
-        while (j < path.length) { s += us(path(j)); j += 1 }
-        w(i) = s
-        i += 1
-      }
+      while (i < n) { w(i) = acc(tree.leafOf(i)); i += 1 }
       // Pick the k_j cheapest points of each color; total cost must be ≤ 1.
-      Arrays.fill(xbar, false)
+      Arrays.fill(xbar, 0.0)
       var cost = 0.0
-      colorIdx.foreach { case (c, idxs) =>
-        val kc = k(c)
-        val chosen = kSmallest(idxs, w, kc)
+      var c = 0
+      while (c < colorIdx.length) {
+        val m = selectCheapest(colorIdx(c), w, kOf(c), pick)
         var j = 0
-        while (j < chosen.length) { xbar(chosen(j)) = true; cost += w(chosen(j)); j += 1 }
+        while (j < m) { xbar(pick(j)) = 1.0; cost += w(pick(j)); j += 1 }
+        c += 1
       }
       if (cost > 1.0 + 1e-9) return None // oracle infeasible ⇒ γ infeasible
 
       i = 0
-      while (i < n) { if (xbar(i)) xhat(i) += 1.0; i += 1 }
+      while (i < n) { xhat(i) += xbar(i); i += 1 }
 
-      // ---- Update (Algorithm 3): R_ℓ = (A x̄)_ℓ via reversed tree pass.
-      Arrays.fill(uw, 0.0)
-      i = 0
-      while (i < n) {
-        if (xbar(i)) {
-          val path = paths(i); var j = 0
-          while (j < path.length) { uw(path(j)) += 1.0; j += 1 }
-        }
-        i += 1
-      }
+      // ---- Update (Algorithm 3): R_ℓ = (A x̄)_ℓ = Σ over canon(ℓ) of the
+      // picked points under each node, counted by one bottom-up pass.
+      tree.subtreeSums(xbar, acc)
       var hSum = 0.0
       l = 0
       while (l < n) {
         var rSum = 0.0
         val cs = canon(l); var j = 0
-        while (j < cs.length) { rSum += uw(cs(j)); j += 1 }
-        val delta = (rSum - 1.0) / k.values.sum
+        while (j < cs.length) { rSum += acc(cs(j)); j += 1 }
+        val delta = (rSum - 1.0) / kTotal
         h(l) *= (1.0 + delta * cfg.eps / 4.0)
         hSum += h(l)
         l += 1
@@ -231,35 +224,22 @@ object MFD {
     Some(xhat)
   }
 
-  /** Randomized rounding (Algorithm 4): sample points proportional to x̂ with
-    * removal (subtree-sum sampling tree); a sampled point joins S iff no
-    * previously *sampled* point lies in its canonical ε-neighborhood — the
-    * root path of every sampled point is deactivated, matching the paper's
-    * worked example and making Lemma 3.1's fairness argument exact.
+  /** Randomized rounding (Algorithm 4): sample points proportional to x̂ ≥ 0
+    * with removal (subtree-sum sampling tree); a sampled point joins S iff
+    * no previously *sampled* point lies in its canonical ε-neighborhood
+    * `canon(i)` — the root path of every sampled point is deactivated,
+    * matching the paper's worked example and making Lemma 3.1's fairness
+    * argument exact.
     */
   private[core] def round(
       pts: Array[LabeledPoint],
       tree: KdTree,
-      paths: Array[Array[Int]],
+      canon: Array[Array[Int]],
       xhat: Array[Double],
-      r: Double,
-      eps: Double,
       seed: Long
   ): Array[LabeledPoint] = {
-    val n = pts.length
-    val canon: Array[Array[Int]] =
-      Array.tabulate(n)(i => tree.canonicalNodes(pts(i).x, r, eps))
-
-    // Subtree sums bottom-up: children were created after parents, so a
-    // reverse id scan sees children before parents.
     val s = new Array[Double](tree.nodeCount)
-    var u = tree.nodeCount - 1
-    while (u >= 0) {
-      s(u) =
-        if (tree.isLeaf(u)) math.max(0.0, xhat(tree.leafPoint(u)))
-        else s(tree.left(u)) + s(tree.right(u))
-      u -= 1
-    }
+    tree.subtreeSums(xhat, s)
     val active = Array.fill(tree.nodeCount)(true)
     val rnd = new java.util.Random(seed)
     val out = new ArrayBuffer[LabeledPoint]()
@@ -275,47 +255,48 @@ object MFD {
       val i = tree.leafPoint(v)
       // Remove i from the sampling pool.
       val wi = s(v)
-      val path = paths(i); var j = 0
-      while (j < path.length) { s(path(j)) -= wi; j += 1 }
+      var u = v
+      while (u != -1) { s(u) -= wi; u = tree.parent(u) }
       s(v) = 0.0
       // Accept iff the whole ε-neighborhood is untouched.
       val cs = canon(i)
       var ok = true
-      j = 0
+      var j = 0
       while (j < cs.length && ok) { ok = active(cs(j)); j += 1 }
       if (ok) out += pts(i)
       // Deactivate the sampled point's root path regardless of acceptance.
-      j = 0
-      while (j < path.length) { active(path(j)) = false; j += 1 }
+      u = v
+      while (u != -1) { active(u) = false; u = tree.parent(u) }
     }
     out.toArray
   }
 
-  /** Indices of the `kc` smallest weights among `idxs` (ties broken by index). */
-  private def kSmallest(idxs: Array[Int], w: Array[Double], kc: Int): Array[Int] = {
-    if (kc >= idxs.length) idxs
-    else if (kc <= 0) Array.empty
-    else {
-      // Max-heap of size kc over (weight, idx).
-      val heap = new java.util.PriorityQueue[Int](kc,
-        (a: Int, b: Int) => {
-          val c = java.lang.Double.compare(w(b), w(a))
-          if (c != 0) c else Integer.compare(b, a)
-        })
-      var i = 0
-      while (i < idxs.length) {
-        val x = idxs(i)
-        if (heap.size < kc) heap.add(x)
-        else {
-          val top = heap.peek()
-          if (w(x) < w(top) || (w(x) == w(top) && x < top)) { heap.poll(); heap.add(x) }
-        }
-        i += 1
+  /** Moves the `kc` smallest of `idxs` by `(w(i), i)` — ties broken by
+    * index — into `pick(0 until m)` and returns `m = min(max(kc, 0),
+    * |idxs|)`, in place (quickselect) with no allocation. `pick` must hold
+    * at least `|idxs|` entries; the order within the first `m` is unspecified.
+    */
+  private[core] def selectCheapest(idxs: Array[Int], w: Array[Double], kc: Int, pick: Array[Int]): Int = {
+    val len = idxs.length
+    if (kc <= 0) return 0
+    System.arraycopy(idxs, 0, pick, 0, len)
+    if (kc >= len) return len
+    // (w, index) keys are distinct, so Hoare partitioning needs no equal run.
+    val target = kc - 1
+    var lo = 0; var hi = len - 1
+    while (lo < hi) {
+      val p = pick((lo + hi) >>> 1); val wp = w(p)
+      var a = lo; var b = hi
+      while (a <= b) {
+        while (w(pick(a)) < wp || (w(pick(a)) == wp && pick(a) < p)) a += 1
+        while (wp < w(pick(b)) || (wp == w(pick(b)) && p < pick(b))) b -= 1
+        if (a <= b) { val x = pick(a); pick(a) = pick(b); pick(b) = x; a += 1; b -= 1 }
       }
-      val out = new Array[Int](heap.size)
-      var j = 0
-      while (!heap.isEmpty) { out(j) = heap.poll(); j += 1 }
-      out
+      // Now pick[lo..b] < pick[a..hi], and any slot strictly between holds p.
+      if (target <= b) hi = b
+      else if (target >= a) lo = a
+      else return kc
     }
+    kc
   }
 }

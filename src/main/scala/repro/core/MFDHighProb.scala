@@ -36,6 +36,7 @@ object MFDHighProb {
       case MFD.Solved(f) =>
         val yhat = transform(pts, f.xhat, f.gamma, cfg.eps)
         val rRound = f.gamma / (6.0 * math.pow(1.0 + cfg.eps, 3))
+        val canon = MFD.canonicalLists(pts, f.tree, rRound, cfg.eps)
         val attempts = math.max(1, math.ceil(math.log(1.0 / delta) / math.log(2.0)).toInt)
         val target: Map[Int, Double] = k.map { case (c, kc) => c -> (1 - cfg.eps) * kc / (1 + cfg.eps) }
         var best: Array[LabeledPoint] = null
@@ -44,7 +45,7 @@ object MFDHighProb {
         var achieved = false
         while (a < attempts && !achieved) {
           Deadline.check(cfg.deadlineNanos)
-          val sel = MFD.round(pts, f.tree, f.paths, yhat, rRound, cfg.eps, cfg.seed + 1000L * (a + 1))
+          val sel = MFD.round(pts, f.tree, canon, yhat, cfg.seed + 1000L * (a + 1))
           val counts = Points.colorCounts(sel.toSeq)
           val score = k.keys.map(c => counts.getOrElse(c, 0) / math.max(1e-9, target(c))).min
           if (score > bestScore) { bestScore = score; best = sel }
@@ -69,16 +70,9 @@ object MFDHighProb {
       val idx = idxSeq.toArray
       val sub = idx.map(pts)
       val tree = KdTree.build(sub)
-      // Subtree sums of x̂ restricted to this color (children have larger
-      // ids than their parent, so a reverse scan is bottom-up).
+      // Subtree sums of x̂ ≥ 0 restricted to this color.
       val s = new Array[Double](tree.nodeCount)
-      var u = tree.nodeCount - 1
-      while (u >= 0) {
-        s(u) =
-          if (tree.isLeaf(u)) math.max(0.0, xhat(idx(tree.leafPoint(u))))
-          else s(tree.left(u)) + s(tree.right(u))
-        u -= 1
-      }
+      tree.subtreeSums(idx.map(xhat), s)
       val dead = new Array[Boolean](tree.nodeCount)
       var li = 0
       while (li < sub.length) {

@@ -9,9 +9,10 @@ import scala.collection.mutable.ArrayBuffer
   *
   * The tree is static: nodes are laid out in arrays; algorithms attach their
   * own per-node weight arrays (sized [[nodeCount]]) and use
-  * [[pathToRoot]] / [[canonicalNodes]] / children accessors to implement the
-  * Oracle / Update / Round primitives of the paper in O(log n + ε^{-d})-ish
-  * per query.
+  * [[canonicalNodes]] plus the two whole-tree passes [[rootPathSums]]
+  * (top-down) and [[subtreeSums]] (bottom-up) to implement the Oracle /
+  * Update / Round primitives of the paper: each pass is O(nodes), and a
+  * canonical query is O(log n + ε^{-d})-ish.
   *
   * Canonical query contract (`canonicalNodes(q, r, eps)`): returns node ids
   * whose point sets are pairwise disjoint and whose union `S` satisfies the
@@ -41,6 +42,29 @@ final class KdTree private (
     var u = leafOf(i)
     while (u != -1) { buf += u; u = parent(u) }
     buf.toArray
+  }
+
+  /** Top-down pass: `out(u) = Σ nodeVal(v)` over `v` on the path from the
+    * root to `u`, so `out(leafOf(i))` is point `i`'s root-path sum. Parents
+    * have smaller ids than their children, so an id scan sees parents first.
+    */
+  def rootPathSums(nodeVal: Array[Double], out: Array[Double]): Unit = {
+    out(root) = nodeVal(root)
+    var u = 1
+    while (u < nodeCount) { out(u) = out(parent(u)) + nodeVal(u); u += 1 }
+  }
+
+  /** Bottom-up pass: `out(u) = Σ pointVal(i)` over the points `i` under `u`
+    * (`pointVal` is indexed by point). A reverse id scan sees children
+    * before parents.
+    */
+  def subtreeSums(pointVal: Array[Double], out: Array[Double]): Unit = {
+    var u = nodeCount - 1
+    while (u >= 0) {
+      val p = leafPoint(u)
+      out(u) = if (p >= 0) pointVal(p) else out(left(u)) + out(right(u))
+      u -= 1
+    }
   }
 
   private def minDistSq(q: Array[Double], u: Int): Double = {

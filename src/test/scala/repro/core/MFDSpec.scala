@@ -67,6 +67,37 @@ class MFDSpec extends AnyFunSuite {
     assert(totals(1).toDouble / runs >= bound, s"color1 avg ${totals(1).toDouble / runs}")
   }
 
+  test("selectCheapest matches a (weight, index) sort, ties included") {
+    val rnd = new java.util.Random(23L)
+    for (trial <- 1 to 300) {
+      val n = 1 + rnd.nextInt(40)
+      // Few distinct weights: most comparisons are exact ties.
+      val distinct = if (trial % 3 == 0) 1 else 1 + rnd.nextInt(6)
+      val w = Array.fill(60)(rnd.nextInt(distinct) / 8.0)
+      val idxs = rnd.ints(0, 60).distinct().limit(n.toLong).toArray.sorted
+      val pick = new Array[Int](idxs.length)
+      for (kc <- Seq(0, 1, n / 2, n - 1, n, n + 3)) {
+        val m = MFD.selectCheapest(idxs, w, kc, pick)
+        val ref = idxs.sortBy(i => (w(i), i)).take(math.max(kc, 0))
+        assert(m == ref.length, s"trial=$trial kc=$kc")
+        assert(pick.take(m).sorted.sameElements(ref.sorted), s"trial=$trial kc=$kc")
+      }
+    }
+  }
+
+  test("gamma steps down when the start is infeasible") {
+    val rnd = new java.util.Random(3)
+    val spread = Array.tabulate(30)(i => LabeledPoint(i.toLong, 0, Array(rnd.nextDouble() * 100, rnd.nextDouble() * 100)))
+    val clump = Array.tabulate(10)(i => LabeledPoint(30L + i, 1, Array(50 + rnd.nextDouble(), 50 + rnd.nextDouble())))
+    val pts = spread ++ clump
+    val k = Map(0 -> 2, 1 -> 2)
+    val eps = 0.3
+    val res = MFD.run(pts, k, MFD.Config(eps = eps, g = 1.0, seed = 1))
+    assert(res.gammaSteps >= 1, s"gammaSteps=${res.gammaSteps}")
+    assert(Points.diversity(res.selected.toSeq) >= res.gamma / (2 * (1 + eps)) - 1e-9)
+    assert(Points.isFair(res.selected.toSeq, k), s"counts ${Points.colorCounts(res.selected.toSeq)}")
+  }
+
   test("g controls the iteration budget") {
     val pts = TestUtil.randomPoints(60, 2, 2, 7L)
     val k = Map(0 -> 3, 1 -> 3)

@@ -9,7 +9,7 @@ import repro.core.Points
   * reproduction: `B(q,r) ⊆ ∪ canonical boxes ⊆ B(q,(1+ε)r)`, with the
   * canonical point sets pairwise disjoint and no canonical node an ancestor
   * of another (that is what makes node-sum + root-path accumulation compute
-  * h^T A exactly).
+  * h^T A exactly, whether per point or by the whole-tree passes).
   */
 class KdTreeSpec extends AnyFunSuite {
 
@@ -88,10 +88,21 @@ class KdTreeSpec extends AnyFunSuite {
       for (l <- 0 until n; u <- canon(l)) us(u) += h(l)
       // Brute-force membership S^eps_l = points under canonical nodes of l.
       val members = canon.map(_.flatMap(tree.pointsUnder).toSet)
+      // Top-down pass: the root-path sum of every leaf in one scan.
+      val prefix = new Array[Double](tree.nodeCount)
+      tree.rootPathSums(us, prefix)
       pts.indices.foreach { i =>
         val viaTree = tree.pathToRoot(i).map(us).sum
         val brute = (0 until n).collect { case l if members(l).contains(i) => h(l) }.sum
         assert(math.abs(viaTree - brute) < 1e-9, s"coefficient mismatch at $i")
+        assert(math.abs(prefix(tree.leafOf(i)) - viaTree) < 1e-9, s"prefix pass mismatch at $i")
+      }
+      // Bottom-up pass (Update): selected points under each node.
+      val selected = Array.fill(n)(if (rnd.nextBoolean()) 1.0 else 0.0)
+      val counts = new Array[Double](tree.nodeCount)
+      tree.subtreeSums(selected, counts)
+      (0 until tree.nodeCount).foreach { u =>
+        assert(counts(u) == tree.pointsUnder(u).count(selected(_) == 1.0), s"subtree count mismatch at node $u")
       }
     }
   }
