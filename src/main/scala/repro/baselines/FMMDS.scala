@@ -18,7 +18,10 @@ import repro.ilp.ColorILP
   */
 object FMMDS {
 
-  def select(pts: Array[LabeledPoint], k: Map[Int, Int], eps: Double = 0.05,
+  /** Threshold decay ε: δ shrinks by (1-ε) per infeasible step. */
+  private val Eps = 0.05
+
+  def select(pts: Array[LabeledPoint], k: Map[Int, Int],
              deadlineNanos: Long = Deadline.None): Array[LabeledPoint] = {
     val kTotal = k.values.sum
     val cand = Coreset.local(pts, kTotal)
@@ -31,7 +34,7 @@ object FMMDS {
       Deadline.check(deadlineNanos)
       ColorILP.solve(cand, k, delta) match {
         case ColorILP.Feasible(sel) => return sel.map(cand)
-        case _ => delta *= (1.0 - eps); attempt += 1
+        case _ => delta *= (1.0 - Eps); attempt += 1
       }
     }
     k.toSeq.flatMap { case (c, kc) => cand.filter(_.color == c).take(kc) }.toArray

@@ -7,10 +7,13 @@ import org.apache.spark.sql.Dataset
   * runs on `m·k` points).
   *
   * Two-round composable k-center:
-  *   1. map side: each partition runs per-color Gonzalez(k') on its local
-  *      points (`mapPartitions`), emitting ≤ m·k' partial centers;
-  *   2. reduce side: partial centers are shuffled by color
-  *      (`groupByKey.flatMapGroups`) and merged with a second Gonzalez(k').
+  *   1. map side (one Spark stage): each partition runs the reference
+  *      `Coreset.local` (per-color Gonzalez(k')) on its points, emitting
+  *      ≤ m·k' partial centers;
+  *   2. merge (driver): the ≤ P·m·k' collected partial centers of the P
+  *      partitions go through `Coreset.local` once more. That set is a few
+  *      thousand points at most, so a shuffle round to regroup it by color
+  *      costs more than the merge itself.
   *
   * Composability: if r* is the optimal k'-center radius of a color class,
   * each partition's Gonzalez solution covers its points within 2r*, and the
@@ -22,19 +25,13 @@ import org.apache.spark.sql.Dataset
   */
 object CoresetSpark {
 
-  /** Distributed two-round per-color coreset of `ds`. Returns (collected)
-    * centers — by construction at most `m·kPrime` points.
+  /** Distributed two-round per-color coreset of `ds`: `min(kPrime, |P(c)|)`
+    * centers of every color `c`, in ascending color order.
     */
   def distributed(ds: Dataset[LabeledPoint], kPrime: Int): Array[LabeledPoint] = {
     val spark = ds.sparkSession
     import spark.implicits._
-    val partial: Dataset[LabeledPoint] = ds.mapPartitions { it =>
-      val pts = it.toArray
-      pts.groupBy(_.color).valuesIterator.flatMap(g => Gonzalez.centers(g, kPrime))
-    }
-    partial
-      .groupByKey(_.color)
-      .flatMapGroups { (_, it) => Gonzalez.centers(it.toArray, kPrime).iterator }
-      .collect()
+    val partial = ds.mapPartitions(it => Coreset.local(it.toArray, kPrime).iterator).collect()
+    Coreset.local(partial, kPrime).sortBy(_.color)
   }
 }

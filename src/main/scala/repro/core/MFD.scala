@@ -28,18 +28,19 @@ import scala.collection.mutable.ArrayBuffer
   */
 object MFD {
 
+  /** Multiplicative step of the γ sweep. */
+  private val GammaDecay = 0.85
+  /** Sweep length cap (always terminates: tiny γ is feasible). */
+  private val MaxGammaSteps = 120
+
   /** @param eps        approximation error ε of LP2 / the tree queries
     * @param g          early-stopping fraction of the theoretical iteration count
-    * @param gammaDecay multiplicative step of the γ sweep
-    * @param maxGammaSteps sweep length cap (always terminates: tiny γ is feasible)
     * @param seed       rounding/sampling seed
     * @param deadlineNanos absolute System.nanoTime deadline; DNF if exceeded
     */
   final case class Config(
       eps: Double = 0.5,
       g: Double = 0.3,
-      gammaDecay: Double = 0.85,
-      maxGammaSteps: Int = 120,
       seed: Long = 17L,
       deadlineNanos: Long = Long.MaxValue
   )
@@ -123,7 +124,7 @@ object MFD {
     val T = math.max(1, math.ceil(cfg.g * kTotal * math.log(math.max(2, n)) / (cfg.eps * cfg.eps)).toInt)
 
     var steps = 0
-    while (steps < cfg.maxGammaSteps) {
+    while (steps < MaxGammaSteps) {
       Deadline.check(cfg.deadlineNanos)
       // Canonical node lists are a function of (point, γ) only; rounding
       // reuses them at the same radius.
@@ -132,7 +133,7 @@ object MFD {
         case Some(xhat) =>
           return Solved(Fractional(tree, canon, xhat, gamma, T, steps))
         case None =>
-          gamma *= cfg.gammaDecay
+          gamma *= GammaDecay
           steps += 1
       }
     }

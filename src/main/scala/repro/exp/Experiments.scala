@@ -96,32 +96,36 @@ object Experiments {
     }
   }
 
-  /** MFD via the Spark coreset pipeline: coreset once (deterministic), then
-    * `reps` MWU+round repetitions with distinct seeds; averaged.
+  /** `reps` end-to-end runs of `MFDSpark.run` (ε = 0.3) on `spec`'s
+    * Dataset, run `r` with seed `seedStep·r`: the runs that met `deadline`.
     */
-  def runMFD(spark: SparkSession, spec: Datasets.Spec, pts: Array[LabeledPoint],
-             k: Map[Int, Int], kLabel: Int, g: Double, reps: Int,
-             eps: Double = 0.3): Run = {
-    val deadline = Deadline.in(DefaultDeadlineMs)
-    val kTotal = k.values.sum
-    val t0 = System.nanoTime()
+  private def mfdRuns(spark: SparkSession, spec: Datasets.Spec, k: Map[Int, Int], g: Double,
+                      reps: Int, seedStep: Long, deadline: Long): Seq[MFDSpark.Timed] = {
     val ds = loadDS(spark, spec)
-    val coreset = CoresetSpark.distributed(ds, kTotal)
-    val coresetMs = (System.nanoTime() - t0) / 1000000
-    val kAdj = MFD.attainable(coreset, k)
-    var divSum = 0.0; var missSum = 0.0; var msSum = 0L; var ok = 0
-    for (rep <- 1 to reps) {
-      val cfg = MFD.Config(eps = eps, g = g, seed = 1000L * rep, deadlineNanos = deadline)
-      val (res, ms) = timed(MFD.run(coreset, kAdj, cfg))
-      res.foreach { r =>
-        divSum += (if (r.diversity.isInfinity) 0.0 else r.diversity)
-        missSum += Points.missedPerColor(r.selected.toSeq, k).values.sum
-        msSum += ms
-        ok += 1
-      }
+    (1 to reps).flatMap { rep =>
+      val cfg = MFD.Config(eps = 0.3, g = g, seed = seedStep * rep, deadlineNanos = deadline)
+      try Some(MFDSpark.run(ds, k, cfg))
+      catch { case _: Deadline.Exceeded => None }
     }
-    if (ok == 0) Run(s"MFD-$g", spec.name, kLabel, 0.0, DefaultDeadlineMs, dnf = true, 0.0)
-    else Run(s"MFD-$g", spec.name, kLabel, divSum / ok, coresetMs + msSum / ok, dnf = false, missSum / ok)
+  }
+
+  private def millis(t: MFDSpark.Timed): Long = t.coresetMillis + t.mwuMillis
+
+  private def div0(d: Double): Double = if (d.isInfinity) 0.0 else d
+
+  /** MFD via the Spark coreset pipeline: `reps` runs with distinct seeds,
+    * averaged over those that met the deadline.
+    */
+  def runMFD(spark: SparkSession, spec: Datasets.Spec, k: Map[Int, Int], kLabel: Int,
+             g: Double, reps: Int): Run = {
+    val runs = mfdRuns(spark, spec, k, g, reps, 1000L, Deadline.in(DefaultDeadlineMs))
+    if (runs.isEmpty) Run(s"MFD-$g", spec.name, kLabel, 0.0, DefaultDeadlineMs, dnf = true, 0.0)
+    else {
+      val ok = runs.length
+      val divSum = runs.map(t => div0(t.result.diversity)).sum
+      val missSum = runs.map(t => Points.missedPerColor(t.result.selected.toSeq, k).values.sum.toDouble).sum
+      Run(s"MFD-$g", spec.name, kLabel, divSum / ok, runs.map(millis).sum / ok, dnf = false, missSum / ok)
+    }
   }
 
   /** The (dataset, k) cells of Fig. 5/6 (equal k_j) or Fig. 7/8
@@ -142,7 +146,7 @@ object Experiments {
     val kRaw = if (proportional) Datasets.proportionalK(spec, kTotal) else Datasets.equalK(spec.m, kTotal)
     val k = MFD.attainable(pts, kRaw)
     val rows = scala.collection.mutable.ArrayBuffer[Run]()
-    rows += runMFD(spark, spec, pts, k, kTotal, g = 0.3, reps = mfdReps)
+    rows += runMFD(spark, spec, k, kTotal, g = 0.3, reps = mfdReps)
     rows += runBaseline("FairFlow", spec.name, k, kTotal, d => FairFlow.select(pts, k, d))
     rows += runBaseline("FairGreedyFlow", spec.name, k, kTotal, d => FairGreedyFlow.select(pts, k, d))
     rows += runBaseline("FMMD-S", spec.name, k, kTotal, d => FMMDS.select(pts, k, deadlineNanos = d))
@@ -191,27 +195,17 @@ object Experiments {
   private def fairnessSweep(spark: SparkSession, spec: Datasets.Spec, ks: Seq[Int],
                             gs: Seq[Double], reps: Int): Seq[FairnessRow] = {
     val pts = load(spark, spec)
-    val ds = loadDS(spark, spec)
     for (kTotal <- ks; g <- gs) yield {
       val k = MFD.attainable(pts, Datasets.equalK(spec.m, kTotal))
-      val t0 = System.nanoTime()
-      val coreset = CoresetSpark.distributed(ds, kTotal)
-      val coresetMs = (System.nanoTime() - t0) / 1000000
-      val kAdj = MFD.attainable(coreset, k)
+      val runs = mfdRuns(spark, spec, k, g, reps, 777L, Deadline.None)
       val missed = scala.collection.mutable.Map[Int, Double]().withDefaultValue(0.0)
-      var divSum = 0.0; var msSum = 0L
-      for (rep <- 1 to reps) {
-        val cfg = MFD.Config(eps = 0.3, g = g, seed = 777L * rep)
-        val t1 = System.nanoTime()
-        val res = MFD.run(coreset, kAdj, cfg)
-        msSum += (System.nanoTime() - t1) / 1000000
-        divSum += (if (res.diversity.isInfinity) 0.0 else res.diversity)
-        Points.missedPerColor(res.selected.toSeq, k).foreach { case (c, miss) =>
+      runs.foreach { t =>
+        Points.missedPerColor(t.result.selected.toSeq, k).foreach { case (c, miss) =>
           missed(c) += miss.toDouble / reps
         }
       }
       FairnessRow(spec.name, kTotal, g, missed.toMap, missed.values.sum,
-        divSum / reps, coresetMs + msSum / reps)
+        runs.map(t => div0(t.result.diversity)).sum / reps, runs.map(millis).sum / reps)
     }
   }
 
@@ -239,7 +233,7 @@ object Experiments {
       val res = s.postProcess()
       val postMs = (System.nanoTime() - t1) / 1000000
       rows += StreamRow("StreamMFD", kTotal, updNs / 1000.0 / pts.length, postMs,
-        if (res.diversity.isInfinity) 0.0 else res.diversity, s.storedCount)
+        div0(res.diversity), s.storedCount)
     }
     // SFDM-2 at both epsilons (bounds assumed known pre-stream, as in [50]).
     for (eps <- Seq(0.15, 0.75)) {

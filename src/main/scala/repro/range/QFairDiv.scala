@@ -1,6 +1,6 @@
 package repro.range
 
-import repro.core.{Gonzalez, LabeledPoint, MFD}
+import repro.core.{Coreset, LabeledPoint, MFD}
 import scala.collection.mutable.ArrayBuffer
 
 /** QFairDiv range structure (Theorem 5.2): preprocess `P` so that, given a
@@ -27,7 +27,7 @@ final class QFairDiv(pts: Array[LabeledPoint], kMax: Int) {
       val lo: Array[Double], val hi: Array[Double],
       val points: Array[LabeledPoint],          // leaf payload (null for internal)
       val left: Node, val right: Node,
-      val samples: Map[Int, Array[LabeledPoint]] // per-color Gonzalez sample
+      val samples: Array[LabeledPoint]           // per-color Gonzalez sample
   )
 
   private val root: Node = build(pts)
@@ -44,8 +44,7 @@ final class QFairDiv(pts: Array[LabeledPoint], kMax: Int) {
       }
     }
     if (ps.length <= bucket) {
-      val samples = ps.groupBy(_.color).map { case (c, g) => c -> Gonzalez.centers(g, kMax) }
-      new Node(lo, hi, ps, null, null, samples)
+      new Node(lo, hi, ps, null, null, Coreset.local(ps, kMax))
     } else {
       var sd = 0; var w = -1.0
       var j = 0
@@ -55,13 +54,7 @@ final class QFairDiv(pts: Array[LabeledPoint], kMax: Int) {
       val l = build(sorted.take(mid))
       val r = build(sorted.drop(mid))
       // Merge children samples with a second Gonzalez pass (composability).
-      val colors = l.samples.keySet ++ r.samples.keySet
-      val samples = colors.map { c =>
-        val union = l.samples.getOrElse(c, Array.empty[LabeledPoint]) ++
-          r.samples.getOrElse(c, Array.empty[LabeledPoint])
-        c -> Gonzalez.centers(union, kMax)
-      }.toMap
-      new Node(lo, hi, null, l, r, samples)
+      new Node(lo, hi, null, l, r, Coreset.local(l.samples ++ r.samples, kMax))
     }
   }
 
@@ -99,13 +92,12 @@ final class QFairDiv(pts: Array[LabeledPoint], kMax: Int) {
     val pool = new ArrayBuffer[LabeledPoint]()
     def go(n: Node): Unit = {
       if (boxDisjoint(n, qlo, qhi)) ()
-      else if (boxInside(n, qlo, qhi)) n.samples.values.foreach(pool ++= _)
+      else if (boxInside(n, qlo, qhi)) pool ++= n.samples
       else if (n.points != null) n.points.foreach(p => if (inRect(p, qlo, qhi)) pool += p)
       else { go(n.left); go(n.right) }
     }
     go(root)
-    pool.toArray.groupBy(_.color).values
-      .flatMap(g => Gonzalez.centers(g, math.min(kMax, kTotal))).toArray
+    Coreset.local(pool.toArray, math.min(kMax, kTotal))
   }
 
   /** FairDiv over `P ∩ R`: range coreset + MFD. `k_j` are clipped by

@@ -45,9 +45,13 @@ class CoresetSpec extends SparkSpec {
       val kPrime = 12
       val dist = CoresetSpark.distributed(ds, kPrime)
       val local = Coreset.local(pts, kPrime)
-      // Sizes: never more than m·k'.
-      val m = Points.colorCounts(pts.toSeq).size
-      assert(dist.length <= m * kPrime)
+      // The merge keeps exactly min(k', |P(c)|) distinct points per color,
+      // colors in ascending order.
+      Points.colorCounts(pts.toSeq).foreach { case (c, n) =>
+        assert(dist.count(_.color == c) == math.min(kPrime, n), s"color $c")
+      }
+      assert(dist.map(_.id).distinct.length == dist.length)
+      assert(dist.map(_.color).sameElements(dist.map(_.color).sorted))
       // Composability: the two-round radius is within a constant factor of
       // the single-pass radius (theory: ≤ 4·opt vs ≤ 2·opt ⇒ ratio ≤ ~4;
       // allow slack for the greedy orderings).
@@ -56,6 +60,19 @@ class CoresetSpec extends SparkSpec {
       assert(rDist <= math.max(4.0 * rLocal, 1e-9) + 1e-9,
         s"two-round radius $rDist vs local $rLocal")
     }
+  }
+
+  test("one-partition Spark coreset holds the local coreset's ids per color, colors sorted") {
+    // Six colors: past four, `groupBy` no longer returns colors in ascending
+    // order, so an unsorted merge shows.
+    val pts = TestUtil.clusteredPoints(1500, 2, 6, 8, 71L)
+    val ds = spark.createDataset(spark.sparkContext.parallelize(pts.toSeq, 1))
+    val kPrime = 10
+    val dist = CoresetSpark.distributed(ds, kPrime)
+    def idsByColor(cs: Array[LabeledPoint]): Map[Int, Set[Long]] =
+      cs.groupBy(_.color).map { case (c, g) => c -> g.map(_.id).toSet }
+    assert(idsByColor(dist) == idsByColor(Coreset.local(pts, kPrime)))
+    assert(dist.map(_.color).sameElements(dist.map(_.color).sorted))
   }
 
   for (seed <- 1 to 3) {
@@ -78,7 +95,7 @@ class CoresetSpec extends SparkSpec {
     val counts = Points.colorCounts(pts.toSeq)
     val k = counts.map { case (c, _) => c -> 5 }
     val timed = MFDSpark.run(ds, k, MFD.Config(eps = 0.4, g = 0.5))
-    assert(timed.coresetSize <= counts.size * k.values.sum)
+    assert(timed.coresetSize == counts.values.map(math.min(k.values.sum, _)).sum)
     assert(timed.result.diversity > 0)
     assert(timed.coresetMillis >= 0 && timed.mwuMillis >= 0)
     // Near-fairness: at most a couple of points missing per color on average
