@@ -25,18 +25,11 @@ object FMMDS {
              deadlineNanos: Long = Deadline.None): Array[LabeledPoint] = {
     val kTotal = k.values.sum
     val cand = Coreset.local(pts, kTotal)
-    var delta = Gonzalez.diversityUpperBound(cand, math.max(2, kTotal))
-    if (!java.lang.Double.isFinite(delta) || delta <= 0)
-      return k.toSeq.flatMap { case (c, kc) => cand.filter(_.color == c).take(kc) }.toArray
-
-    var attempt = 0
-    while (attempt < 400) {
-      Deadline.check(deadlineNanos)
-      ColorILP.solve(cand, k, delta) match {
-        case ColorILP.Feasible(sel) => return sel.map(cand)
-        case _ => delta *= (1.0 - Eps); attempt += 1
-      }
-    }
-    k.toSeq.flatMap { case (c, kc) => cand.filter(_.color == c).take(kc) }.toArray
+    val delta = Gonzalez.diversityUpperBound(cand, math.max(2, kTotal))
+    Sweep.firstFeasible(cand, k, delta, 1.0 - Eps, 400, deadlineNanos)(d =>
+      ColorILP.solve(cand, k, d) match {
+        case ColorILP.Feasible(sel) => Some(sel.map(cand))
+        case _ => None
+      })
   }
 }

@@ -1,7 +1,6 @@
 package repro.baselines
 
 import repro.core.{Coreset, Deadline, Gonzalez, LabeledPoint, Points}
-import repro.flow.MaxFlow
 
 /** FairFlow baseline (Moumoulidou, McGregor, Meliou, ICDT 2021 [41]) —
   * `1/(3m-1)`-approximation, the "fast but low diversity" end of the
@@ -15,34 +14,23 @@ import repro.flow.MaxFlow
   *  3. candidates are greedily clustered at that separation and a
   *     source → color(cap k_j) → cluster(cap 1) → sink max-flow assigns one
   *     color to each cluster;
-  *  4. if the flow is < k the separation decays (×0.85) until feasible —
-  *     guaranteeing a fair output (at tiny separation every candidate is its
-  *     own cluster).
+  *  4. if the flow is < k the separation decays (×0.85, ≤ 200 steps of
+  *     [[Sweep.firstFeasible]]) until feasible — at tiny separation every
+  *     candidate is its own cluster.
   */
 object FairFlow {
 
   def select(pts: Array[LabeledPoint], k: Map[Int, Int],
              deadlineNanos: Long = Deadline.None): Array[LabeledPoint] = {
     val kTotal = k.values.sum
-    val m = k.size
     val cand = Coreset.local(pts, kTotal)
     val d = Gonzalez.diversityUpperBound(pts, math.max(2, kTotal))
-    var sep = if (java.lang.Double.isFinite(d)) d / (3.0 * m - 1.0) else 0.0
-
-    var attempt = 0
-    while (attempt < 200) {
-      Deadline.check(deadlineNanos)
-      trySeparation(cand, k, kTotal, sep) match {
-        case Some(sel) => return sel
-        case None => sep *= 0.85; attempt += 1
-      }
-    }
-    // Numerical fallback: separation ~0 ⇒ any per-color pick is feasible.
-    k.toSeq.flatMap { case (c, kc) => cand.filter(_.color == c).take(kc) }.toArray
+    Sweep.firstFeasible(cand, k, d / (3.0 * k.size - 1.0), 0.85, 200, deadlineNanos)(
+      sep => trySeparation(cand, k, sep))
   }
 
   private def trySeparation(cand: Array[LabeledPoint], k: Map[Int, Int],
-                            kTotal: Int, sep: Double): Option[Array[LabeledPoint]] = {
+                            sep: Double): Option[Array[LabeledPoint]] = {
     // Greedy clustering: a candidate starts a new cluster iff it is ≥ sep
     // from every existing cluster center; otherwise it joins the nearest.
     val centers = new scala.collection.mutable.ArrayBuffer[Int]()
@@ -60,30 +48,6 @@ object FairFlow {
       else assign(i) = best
       i += 1
     }
-    val nClusters = centers.length
-    if (nClusters < kTotal && sep > 0) return None
-
-    // Flow network: 0 = source, 1..m colors, then clusters, then sink.
-    val colors = k.keys.toArray.sorted
-    val colorNode = colors.zipWithIndex.map { case (c, j) => c -> (1 + j) }.toMap
-    val clusterBase = 1 + colors.length
-    val sink = clusterBase + nClusters
-    val mf = new MaxFlow(sink + 1)
-    colors.foreach(c => mf.addEdge(0, colorNode(c), k(c)))
-    // One representative candidate per (color, cluster) pair.
-    val rep = scala.collection.mutable.Map[(Int, Int), Int]()
-    i = 0
-    while (i < cand.length) {
-      val key = (cand(i).color, assign(i))
-      if (!rep.contains(key) && colorNode.contains(cand(i).color)) rep(key) = i
-      i += 1
-    }
-    val edgeFor = rep.map { case ((c, cl), pi) =>
-      (mf.addEdge(colorNode(c), clusterBase + cl, 1), pi)
-    }.toArray
-    (0 until nClusters).foreach(cl => mf.addEdge(clusterBase + cl, sink, 1))
-
-    if (mf.maxflow(0, sink) < kTotal) None
-    else Some(edgeFor.collect { case (e, pi) if mf.flowOn(e) > 0 => cand(pi) })
+    Sweep.onePerGroup(cand, k, assign, centers.length)
   }
 }

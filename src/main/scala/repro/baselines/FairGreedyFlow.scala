@@ -1,7 +1,6 @@
 package repro.baselines
 
 import repro.core.{Coreset, Deadline, Gonzalez, LabeledPoint, Points}
-import repro.flow.MaxFlow
 
 /** FairGreedyFlow baseline (Addanki, McGregor, Meliou, Moumoulidou,
   * ICDT 2022 [7]) — `1/((m+1)(1+ε))`-approximation via a γ sweep with a
@@ -12,29 +11,18 @@ import repro.flow.MaxFlow
   * joins that center's group (so members of distinct groups are
   * ≥ γ/(m+1) apart); a source → color(cap k_j) → group(cap 1) → sink flow of
   * value k certifies feasibility and yields the selection. γ starts at the
-  * colorblind Gonzalez diversity and decays ×0.85 (same sweep as MFD).
-  * Runs on the shared m·k coreset, as in the paper's §6 comparison.
+  * coreset's colorblind Gonzalez diversity and decays ×0.85 (≤ 200 steps of
+  * [[Sweep.firstFeasible]]), on the m·k coreset as in the paper's §6.
   */
 object FairGreedyFlow {
 
   def select(pts: Array[LabeledPoint], k: Map[Int, Int],
              deadlineNanos: Long = Deadline.None): Array[LabeledPoint] = {
     val kTotal = k.values.sum
-    val m = k.size
     val cand = Coreset.local(pts, kTotal)
-    var gamma = Gonzalez.diversityUpperBound(cand, math.max(2, kTotal))
-    if (!java.lang.Double.isFinite(gamma) || gamma <= 0)
-      return k.toSeq.flatMap { case (c, kc) => cand.filter(_.color == c).take(kc) }.toArray
-
-    var attempt = 0
-    while (attempt < 200) {
-      Deadline.check(deadlineNanos)
-      tryGamma(cand, k, kTotal, m, gamma) match {
-        case Some(sel) => return sel
-        case None => gamma *= 0.85; attempt += 1
-      }
-    }
-    k.toSeq.flatMap { case (c, kc) => cand.filter(_.color == c).take(kc) }.toArray
+    val gamma = Gonzalez.diversityUpperBound(cand, math.max(2, kTotal))
+    Sweep.firstFeasible(cand, k, gamma, 0.85, 200, deadlineNanos)(
+      g => tryGamma(cand, k, kTotal, k.size, g))
   }
 
   private def tryGamma(cand: Array[LabeledPoint], k: Map[Int, Int], kTotal: Int,
@@ -58,8 +46,7 @@ object FairGreedyFlow {
       if (ok) centers += i
       i += 1
     }
-    val nGroups = centers.length
-    if (nGroups < kTotal) return None
+    if (centers.length < kTotal) return None
     // Assign candidates to the nearest center within joinR (others dropped).
     val assign = Array.fill(cand.length)(-1)
     i = 0
@@ -74,26 +61,6 @@ object FairGreedyFlow {
       assign(i) = best
       i += 1
     }
-    val colors = k.keys.toArray.sorted
-    val colorNode = colors.zipWithIndex.map { case (c, j) => c -> (1 + j) }.toMap
-    val groupBase = 1 + colors.length
-    val sink = groupBase + nGroups
-    val mf = new MaxFlow(sink + 1)
-    colors.foreach(c => mf.addEdge(0, colorNode(c), k(c)))
-    val rep = scala.collection.mutable.Map[(Int, Int), Int]()
-    i = 0
-    while (i < cand.length) {
-      if (assign(i) >= 0 && colorNode.contains(cand(i).color)) {
-        val key = (cand(i).color, assign(i))
-        if (!rep.contains(key)) rep(key) = i
-      }
-      i += 1
-    }
-    val edgeFor = rep.map { case ((c, g), pi) =>
-      (mf.addEdge(colorNode(c), groupBase + g, 1), pi)
-    }.toArray
-    (0 until nGroups).foreach(g => mf.addEdge(groupBase + g, sink, 1))
-    if (mf.maxflow(0, sink) < kTotal) None
-    else Some(edgeFor.collect { case (e, pi) if mf.flowOn(e) > 0 => cand(pi) })
+    Sweep.onePerGroup(cand, k, assign, centers.length)
   }
 }

@@ -51,7 +51,9 @@ final class SFDM2(k: Map[Int, Int], eps: Double, dMin: Double, dMax: Double) {
     var mu = math.max(dMin, 1e-12)
     var i = 0
     while (mu <= dMax * (1 + eps) && i < 400) { buf += new Level(mu); mu *= (1 + eps); i += 1 }
-    if (buf.isEmpty) buf += new Level(math.max(dMax, 1e-12))
+    // dMax = 0 means fewer than k distinct locations: every k-subset has
+    // diversity 0, and only a μ = 0 level keeps the duplicates fairness needs.
+    if (buf.isEmpty) buf += new Level(dMax)
     buf.toArray
   }
 
@@ -113,15 +115,7 @@ final class SFDM2(k: Map[Int, Int], eps: Double, dMin: Double, dMax: Double) {
     if (best != null) return best
     // No level satisfied fairness (color scarcer than k_j in the stream):
     // return the best-effort selection of the lowest level with no separation.
-    val lvl = levels(0)
-    val sel = new ArrayBuffer[LabeledPoint]()
-    val count = scala.collection.mutable.Map[Int, Int]().withDefaultValue(0)
-    k.foreach { case (c, kc) =>
-      lvl.perColor.getOrElse(c, new ArrayBuffer[LabeledPoint]()).foreach { q =>
-        if (count(c) < kc) { sel += q; count(c) += 1 }
-      }
-    }
-    sel.toArray
+    Points.firstPerColor(levels(0).perColor.valuesIterator.flatten.toArray, k)
   }
 }
 

@@ -4,11 +4,13 @@ package repro.core
   *
   * Used three ways in the reproduction, exactly as in the paper's §6:
   *  - per-color runs build the (1+ε)-coreset (Theorem 4.2 with Alg = Gonzalez);
-  *  - a colorblind run on the whole set supplies the initial upper bound γ on
-  *    the FairDiv diversity (min pairwise distance among the k centers);
+  *  - a colorblind run on the whole set supplies the start γ of the
+  *    diversity sweeps (min pairwise distance among the k centers);
   *  - node samples of the QFairDiv range structure.
   *
-  * O(nk) time, O(n) space. Deterministic: index 0 is the first center.
+  * O(nk) time, O(n) space. Deterministic: index 0 is the first center. No
+  * index is picked twice, so `min(k, n)` distinct indices come back even when
+  * `k` exceeds the number of distinct locations.
   */
 object Gonzalez {
 
@@ -28,6 +30,7 @@ object Gonzalez {
     var c = 0
     while (c < kk) {
       centers(c) = cur
+      minD(cur) = Double.NegativeInfinity // never re-picked, even among duplicates
       val cx = pts(cur).x
       var far = 0; var farD = -1.0
       var i = 0
@@ -50,8 +53,10 @@ object Gonzalez {
   def centers(pts: Array[LabeledPoint], k: Int): Array[LabeledPoint] =
     run(pts, k).centers.map(pts)
 
-  /** Diversity (min pairwise distance) of a colorblind Gonzalez run — the
-    * paper's practical upper bound for the γ sweep.
+  /** Diversity `d_G` (min pairwise distance) of a colorblind Gonzalez run —
+    * the paper's practical *start* for the γ sweep. It is not an upper bound
+    * on the FairDiv optimum: `2·d_G` is (Gonzalez's farthest-first
+    * pigeonhole argument), and OPT may exceed `d_G`.
     */
   def diversityUpperBound(pts: Array[LabeledPoint], k: Int): Double = {
     val cs = centers(pts, k)

@@ -98,27 +98,24 @@ object MFD {
     * fractional solution (or a fair fallback on degenerate geometry).
     */
   private[core] def sweep(pts: Array[LabeledPoint], k: Map[Int, Int], cfg: Config): SweepOutcome = {
-    val byColor = pts.groupBy(_.color)
-    def ofColor(c: Int): Array[LabeledPoint] = byColor.getOrElse(c, Array.empty[LabeledPoint])
-    k.foreach { case (c, kc) =>
-      require(ofColor(c).length >= kc, s"infeasible input: color $c has ${ofColor(c).length} < k_j=$kc points")
+    // Per constrained color: its points as indices into pts, and its k_j.
+    val colors = k.keys.toArray
+    val colorIdx: Array[Array[Int]] = colors.map(c => pts.indices.filter(pts(_).color == c).toArray)
+    val kOf: Array[Int] = colors.map(k)
+    colors.indices.foreach { j =>
+      require(colorIdx(j).length >= kOf(j),
+        s"infeasible input: color ${colors(j)} has ${colorIdx(j).length} < k_j=${kOf(j)} points")
     }
-    val kTotal = k.values.sum
+    val kTotal = kOf.sum
     require(kTotal >= 1, "k must be >= 1")
 
     val n = pts.length
     val tree = KdTree.build(pts)
 
-    // Per constrained color: its points as indices into pts, and its k_j.
-    val colors = k.keys.toArray
-    val colorIdx: Array[Array[Int]] = colors.map(c => pts.indices.filter(pts(_).color == c).toArray)
-    val kOf: Array[Int] = colors.map(k)
-
     var gamma = Gonzalez.diversityUpperBound(pts, math.max(2, kTotal))
     if (!java.lang.Double.isFinite(gamma) || gamma <= 0.0) {
       // Degenerate geometry (duplicates / singleton): any fair pick is optimal.
-      val sel = k.toSeq.flatMap { case (c, kc) => ofColor(c).take(kc) }
-      return Fallback(sel.toArray, 0.0)
+      return Fallback(Points.firstPerColor(pts, k), 0.0)
     }
 
     val T = math.max(1, math.ceil(cfg.g * kTotal * math.log(math.max(2, n)) / (cfg.eps * cfg.eps)).toInt)
@@ -139,7 +136,7 @@ object MFD {
     }
     // Sweep exhausted (numerically pathological input): fall back to a fair
     // but diversity-agnostic pick so callers always get a valid-fairness set.
-    val sel = k.toSeq.flatMap { case (c, kc) => Gonzalez.centers(ofColor(c), kc) }
+    val sel = colors.indices.flatMap(j => Gonzalez.centers(colorIdx(j).map(pts), kOf(j)))
     Fallback(sel.toArray, gamma)
   }
 

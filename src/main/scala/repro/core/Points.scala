@@ -62,6 +62,12 @@ object Points {
     k.forall { case (c, kc) => counts.getOrElse(c, 0) >= kc }
   }
 
+  /** The first `k_j` points of each color of `k`, in input order: the fair,
+    * diversity-agnostic fallback of every algorithm.
+    */
+  def firstPerColor(pts: Array[LabeledPoint], k: Map[Int, Int]): Array[LabeledPoint] =
+    k.toSeq.flatMap { case (c, kc) => pts.filter(_.color == c).take(kc) }.toArray
+
   /** Per-color shortfall `max(0, k_j - |S(c_j)|)`; the quantity in Table 4. */
   def missedPerColor(s: Seq[LabeledPoint], k: Map[Int, Int]): Map[Int, Int] = {
     val counts = colorCounts(s)

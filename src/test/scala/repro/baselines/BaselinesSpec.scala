@@ -22,11 +22,18 @@ class BaselinesSpec extends AnyFunSuite {
     "Random" -> ((p, k) => RandomSelect.select(p, k))
   )
 
-  for ((name, algo) <- algos; seed <- 1 to 5) {
-    test(s"$name returns a fair, duplicate-free subset seed=$seed") {
+  /** 20 points at one location: every k-subset has diversity 0. */
+  private val oneLocation = Array.tabulate(20)(i => LabeledPoint(i, i % 2, Array(7.0, 7.0)))
+
+  private val fairInputs: Seq[(String, Array[LabeledPoint], Map[Int, Int])] =
+    (1 to 5).map { seed =>
       val pts = TestUtil.clusteredPoints(200, 2, 3, 6, seed * 43L)
-      val counts = Points.colorCounts(pts.toSeq)
-      val k = counts.map { case (c, n) => c -> math.min(4, n) }
+      val k = Points.colorCounts(pts.toSeq).map { case (c, n) => c -> math.min(4, n) }
+      (s"seed=$seed", pts, k)
+    } :+ (("at one location", oneLocation, Map(0 -> 3, 1 -> 3)))
+
+  for ((name, algo) <- algos; (label, pts, k) <- fairInputs) {
+    test(s"$name returns a fair, duplicate-free subset $label") {
       val sel = algo(pts, k)
       assert(Points.isFair(sel.toSeq, k), s"$name unfair: ${Points.colorCounts(sel.toSeq)} vs $k")
       val ids = pts.map(_.id).toSet
@@ -121,5 +128,65 @@ class BaselinesSpec extends AnyFunSuite {
     val sel = FairFlow.select(pts, k)
     assert(sel.length >= 8)
     assert(Points.diversity(sel.toSeq) > 0)
+  }
+
+  // ---- Sweep: the skeleton shared by FairFlow, FairGreedyFlow and FMMD-S.
+
+  private val sweepCand = TestUtil.randomPoints(40, 2, 3, 131L)
+  private val sweepK = Map(0 -> 2, 1 -> 3, 2 -> 1)
+
+  test("Sweep.onePerGroup picks k_j per color, at most one per group, none ungrouped") {
+    // Groups of four consecutive candidates; every fifth candidate is in none.
+    val group = sweepCand.indices.map(i => if (i % 5 == 4) -1 else i / 4).toArray
+    val sel = Sweep.onePerGroup(sweepCand, sweepK, group, 10).get
+    assert(Points.colorCounts(sel.toSeq) == sweepK)
+    val idx = sel.map(p => sweepCand.indexWhere(_.id == p.id))
+    assert(idx.forall(group(_) >= 0))
+    assert(idx.map(group).distinct.length == sel.length)
+  }
+
+  test("Sweep.onePerGroup is None when a color reaches fewer groups than k_j") {
+    // Color 1 (k_j = 3) reaches only groups 0 and 1; the others reach all.
+    val group = sweepCand.indices.map(i => if (sweepCand(i).color == 1) i % 2 else i % 10).toArray
+    assert(Sweep.onePerGroup(sweepCand, sweepK, group, 10).isEmpty)
+    assert(Sweep.onePerGroup(sweepCand, sweepK + (1 -> 2), group, 10).nonEmpty)
+    // Fewer groups than Σk_j.
+    assert(Sweep.onePerGroup(sweepCand, sweepK, sweepCand.indices.map(_ % 5).toArray, 5).isEmpty)
+  }
+
+  test("Sweep.firstFeasible returns the first passing value of the geometric sequence") {
+    val tried = scala.collection.mutable.ArrayBuffer[Double]()
+    val marker = Array(sweepCand(0))
+    val sel = Sweep.firstFeasible(sweepCand, sweepK, 8.0, 0.5, 10, Deadline.None) { sep =>
+      tried += sep
+      if (sep < 1.5) Some(marker) else None
+    }
+    assert(sel eq marker)
+    assert(tried.toSeq == Seq(8.0, 4.0, 2.0, 1.0))
+  }
+
+  test("Sweep.firstFeasible falls back to firstPerColor on a bad start or an exhausted sweep") {
+    val fallback = Points.firstPerColor(sweepCand, sweepK).map(_.id).toSeq
+    assert(Points.colorCounts(Points.firstPerColor(sweepCand, sweepK).toSeq) == sweepK)
+    for (start <- Seq(0.0, -1.0, Double.NaN, Double.PositiveInfinity)) {
+      var calls = 0
+      val sel = Sweep.firstFeasible(sweepCand, sweepK, start, 0.85, 200, Deadline.None) { _ =>
+        calls += 1; Some(Array.empty[LabeledPoint])
+      }
+      assert(calls == 0, s"start $start")
+      assert(sel.map(_.id).toSeq == fallback, s"start $start")
+    }
+    var calls = 0
+    val sel = Sweep.firstFeasible(sweepCand, sweepK, 10.0, 0.85, 7, Deadline.None) { _ =>
+      calls += 1; None
+    }
+    assert(calls == 7)
+    assert(sel.map(_.id).toSeq == fallback)
+  }
+
+  test("Sweep.firstFeasible checks the deadline at every step") {
+    assertThrows[Deadline.Exceeded] {
+      Sweep.firstFeasible(sweepCand, sweepK, 10.0, 0.85, 200, System.nanoTime() - 1L)(_ => None)
+    }
   }
 }

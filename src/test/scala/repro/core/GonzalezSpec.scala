@@ -53,6 +53,18 @@ class GonzalezSpec extends AnyFunSuite {
     assert(res.radius == 0.0)
   }
 
+  test("duplicate coordinates give distinct centers, radius 0 once every location is one") {
+    val a = Array(1.0, 2.0)
+    val pts = Array(LabeledPoint(0, 0, a), LabeledPoint(1, 0, a.clone()), LabeledPoint(2, 0, Array(5.0, 2.0)))
+    val res = Gonzalez.run(pts, 3)
+    assert(res.centers.sorted.toSeq == Seq(0, 1, 2))
+    assert(res.radius == 0.0)
+    val two = Gonzalez.run(pts, 2)
+    assert(two.centers.toSeq == Seq(0, 2) && two.radius == 0.0)
+    val oneSpot = Array.tabulate(20)(i => LabeledPoint(i, i % 2, Array(3.0, 3.0)))
+    assert(Gonzalez.run(oneSpot, 6).centers.distinct.length == 6)
+  }
+
   test("empty input") {
     val res = Gonzalez.run(Array.empty[LabeledPoint], 3)
     assert(res.centers.isEmpty && res.radius == 0.0)
@@ -72,8 +84,9 @@ class GonzalezSpec extends AnyFunSuite {
     val pts = TestUtil.randomPoints(10, 2, 2, 31L)
     val k = Map(0 -> 2, 1 -> 2)
     val opt = TestUtil.bruteForceOpt(pts, k)
-    // The min pairwise distance of colorblind Gonzalez(k) centers is an
-    // upper bound on the fair diversity (paper §6).
+    // On this instance the min pairwise distance d_G of colorblind
+    // Gonzalez(k) centers, the paper's sweep start (§6), is at least the fair
+    // optimum; in general only 2·d_G bounds it.
     val ub = Gonzalez.diversityUpperBound(pts, 4)
     assert(ub >= opt - 1e-9)
   }
