@@ -6,8 +6,8 @@ import scala.collection.mutable.ArrayBuffer
 /** SFDM-2 baseline (Wang, Fabbri, Mathioudakis, ICDE 2022 [50]) — the
   * streaming fair-diversity algorithm; approximation `(1-ε)/(3m+2)`.
   *
-  * A geometric grid of diversity guesses μ ∈ {d_min·(1+ε)^i} ≤ d_max is
-  * maintained; for every level the stream phase keeps
+  * A geometric grid of diversity guesses μ ∈ {d_min·(1+ε)^i} ≤ d_max, plus
+  * μ = 0, is maintained; for every level the stream phase keeps
   *  - a global greedy set (add p iff ≥ μ from all kept, cap k), and
   *  - one greedy set per color (same rule within the color, cap k),
   * for O(mk·log_{1+ε}Δ) stored points and O(k·log_{1+ε}Δ) update time —
@@ -47,13 +47,12 @@ final class SFDM2(k: Map[Int, Int], eps: Double, dMin: Double, dMax: Double) {
   }
 
   private val levels: Array[Level] = {
-    val buf = new ArrayBuffer[Level]()
+    // μ = 0 keeps the first k points of every color, duplicates included: the
+    // fair level when every μ ≥ d_min rejects points a color needs.
+    val buf = ArrayBuffer(new Level(0.0))
     var mu = math.max(dMin, 1e-12)
     var i = 0
     while (mu <= dMax * (1 + eps) && i < 400) { buf += new Level(mu); mu *= (1 + eps); i += 1 }
-    // dMax = 0 means fewer than k distinct locations: every k-subset has
-    // diversity 0, and only a μ = 0 level keeps the duplicates fairness needs.
-    if (buf.isEmpty) buf += new Level(dMax)
     buf.toArray
   }
 

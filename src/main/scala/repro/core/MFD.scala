@@ -30,7 +30,7 @@ object MFD {
 
   /** Multiplicative step of the γ sweep. */
   private val GammaDecay = 0.85
-  /** Sweep length cap (always terminates: tiny γ is feasible). */
+  /** Sweep length cap; an exhausted sweep returns the fallback. */
   private val MaxGammaSteps = 120
 
   /** @param eps        approximation error ε of LP2 / the tree queries
@@ -47,6 +47,9 @@ object MFD {
 
   /** Outcome of a run. `selected` satisfies div ≥ gamma/(2(1+eps)); fairness
     * holds in expectation (see `Points.missedPerColor` for the shortfall).
+    * `mwuIterations` counts the solve of the accepted γ; when no γ is
+    * accepted, `selected` is a fair fallback with `gamma = 0` and
+    * `mwuIterations = 0`, and `gammaSteps` still counts the steps taken.
     */
   final case class Result(
       selected: Array[LabeledPoint],
@@ -55,25 +58,6 @@ object MFD {
       mwuIterations: Int,
       gammaSteps: Int
   )
-
-  /** The MWU output for the first feasible γ of the sweep: the averaged
-    * fractional x̂ plus the shared tree structures, so both rounding schemes
-    * (expectation, Section 3.1; high-probability, Section 3.2) can consume
-    * it. `canon(i)` holds the canonical nodes of `B(p_i, γ/(2(1+ε)))`.
-    */
-  private[core] final case class Fractional(
-      tree: KdTree,
-      canon: Array[Array[Int]],
-      xhat: Array[Double],
-      gamma: Double,
-      mwuIterations: Int,
-      gammaSteps: Int
-  )
-
-  private[core] sealed trait SweepOutcome
-  private[core] final case class Solved(f: Fractional) extends SweepOutcome
-  /** Degenerate geometry or exhausted sweep — `selected` is a valid fair set. */
-  private[core] final case class Fallback(selected: Array[LabeledPoint], gamma: Double) extends SweepOutcome
 
   /** `k` clipped to what `pts` holds: colors absent from `pts` are dropped,
     * the others are capped at their point count. Callers whose input may
@@ -84,20 +68,10 @@ object MFD {
     k.flatMap { case (c, kc) => counts.get(c).map(n => c -> math.min(kc, n)) }
   }
 
-  def run(pts: Array[LabeledPoint], k: Map[Int, Int], cfg: Config = Config()): Result = {
-    sweep(pts, k, cfg) match {
-      case Solved(f) =>
-        val sel = round(pts, f.tree, f.canon, f.xhat, cfg.seed)
-        Result(sel, f.gamma, Points.diversity(sel.toSeq), f.mwuIterations, f.gammaSteps)
-      case Fallback(sel, gamma) =>
-        Result(sel, gamma, Points.diversity(sel.toSeq), 0, 0)
-    }
-  }
-
-  /** Validate input, sweep γ geometrically, and return the first feasible
-    * fractional solution (or a fair fallback on degenerate geometry).
+  /** Validate, sweep γ down from the colorblind Gonzalez diversity, and
+    * round the MWU solution of the first feasible γ.
     */
-  private[core] def sweep(pts: Array[LabeledPoint], k: Map[Int, Int], cfg: Config): SweepOutcome = {
+  def run(pts: Array[LabeledPoint], k: Map[Int, Int], cfg: Config = Config()): Result = {
     // Per constrained color: its points as indices into pts, and its k_j.
     val colors = k.keys.toArray
     val colorIdx: Array[Array[Int]] = colors.map(c => pts.indices.filter(pts(_).color == c).toArray)
@@ -109,15 +83,19 @@ object MFD {
     val kTotal = kOf.sum
     require(kTotal >= 1, "k must be >= 1")
 
-    val n = pts.length
-    val tree = KdTree.build(pts)
-
-    var gamma = Gonzalez.diversityUpperBound(pts, math.max(2, kTotal))
-    if (!java.lang.Double.isFinite(gamma) || gamma <= 0.0) {
-      // Degenerate geometry (duplicates / singleton): any fair pick is optimal.
-      return Fallback(Points.firstPerColor(pts, k), 0.0)
+    // Fair but diversity-agnostic pick (per-color Gonzalez). γ = 0 keeps the
+    // contract div ≥ γ/(2(1+ε)) whatever the pick's diversity.
+    def fallback(steps: Int): Result = {
+      val sel = colors.indices.flatMap(j => Gonzalez.centers(colorIdx(j).map(pts), kOf(j))).toArray
+      Result(sel, 0.0, Points.diversity(sel.toSeq), 0, steps)
     }
 
+    var gamma = Gonzalez.diversityUpperBound(pts, math.max(2, kTotal))
+    // Degenerate geometry (duplicates / singleton): every fair k-set has diversity 0.
+    if (!java.lang.Double.isFinite(gamma) || gamma <= 0.0) return fallback(0)
+
+    val n = pts.length
+    val tree = KdTree.build(pts)
     val T = math.max(1, math.ceil(cfg.g * kTotal * math.log(math.max(2, n)) / (cfg.eps * cfg.eps)).toInt)
 
     var steps = 0
@@ -125,24 +103,20 @@ object MFD {
       Deadline.check(cfg.deadlineNanos)
       // Canonical node lists are a function of (point, γ) only; rounding
       // reuses them at the same radius.
-      val canon = canonicalLists(pts, tree, gamma / (2.0 * (1.0 + cfg.eps)), cfg.eps)
+      val r = gamma / (2.0 * (1.0 + cfg.eps))
+      val canon = Array.tabulate(n)(i => tree.canonicalNodes(pts(i).x, r, cfg.eps))
       solveGamma(tree, canon, colorIdx, kOf, kTotal, cfg, T) match {
         case Some(xhat) =>
-          return Solved(Fractional(tree, canon, xhat, gamma, T, steps))
+          val sel = round(pts, tree, canon, xhat, cfg.seed)
+          return Result(sel, gamma, Points.diversity(sel.toSeq), T, steps)
         case None =>
           gamma *= GammaDecay
           steps += 1
       }
     }
-    // Sweep exhausted (numerically pathological input): fall back to a fair
-    // but diversity-agnostic pick so callers always get a valid-fairness set.
-    val sel = colors.indices.flatMap(j => Gonzalez.centers(colorIdx(j).map(pts), kOf(j)))
-    Fallback(sel.toArray, gamma)
+    // Sweep exhausted (numerically pathological input).
+    fallback(steps)
   }
-
-  /** Canonical nodes of `B(p_i, r)` with slack `eps`, for every point `i`. */
-  private[core] def canonicalLists(pts: Array[LabeledPoint], tree: KdTree, r: Double, eps: Double): Array[Array[Int]] =
-    Array.tabulate(pts.length)(i => tree.canonicalNodes(pts(i).x, r, eps))
 
   /** MWU solve of LP2 at the diversity γ whose canonical lists are `canon`.
     * Returns the averaged fractional x̂, or None if some oracle call was
@@ -229,7 +203,7 @@ object MFD {
     * matching the paper's worked example and making Lemma 3.1's fairness
     * argument exact.
     */
-  private[core] def round(
+  private def round(
       pts: Array[LabeledPoint],
       tree: KdTree,
       canon: Array[Array[Int]],

@@ -63,7 +63,7 @@ object Points {
   }
 
   /** The first `k_j` points of each color of `k`, in input order: the fair,
-    * diversity-agnostic fallback of every algorithm.
+    * diversity-agnostic fallback of the offline baselines and SFDM-2.
     */
   def firstPerColor(pts: Array[LabeledPoint], k: Map[Int, Int]): Array[LabeledPoint] =
     k.toSeq.flatMap { case (c, kc) => pts.filter(_.color == c).take(kc) }.toArray

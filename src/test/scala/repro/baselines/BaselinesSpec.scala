@@ -25,12 +25,21 @@ class BaselinesSpec extends AnyFunSuite {
   /** 20 points at one location: every k-subset has diversity 0. */
   private val oneLocation = Array.tabulate(20)(i => LabeledPoint(i, i % 2, Array(7.0, 7.0)))
 
+  /** Color 0 at one spot, below its k_0 in distinct locations, beside spread color-1 points. */
+  private val oneColorAtOneSpot =
+    Array.tabulate(10)(i => LabeledPoint(i, 0, Array(5.0, 5.0))) ++
+      TestUtil.randomPoints(30, 2, 1, 17L).map(p => LabeledPoint(10 + p.id, 1, p.x))
+
   private val fairInputs: Seq[(String, Array[LabeledPoint], Map[Int, Int])] =
     (1 to 5).map { seed =>
       val pts = TestUtil.clusteredPoints(200, 2, 3, 6, seed * 43L)
       val k = Points.colorCounts(pts.toSeq).map { case (c, n) => c -> math.min(4, n) }
       (s"seed=$seed", pts, k)
-    } :+ (("at one location", oneLocation, Map(0 -> 3, 1 -> 3)))
+    } ++ Seq(
+      ("at one location", oneLocation, Map(0 -> 3, 1 -> 3)),
+      ("with a single color", TestUtil.randomPoints(60, 2, 1, 3L), Map(0 -> 5)),
+      ("with one color at one spot", oneColorAtOneSpot, Map(0 -> 3, 1 -> 3))
+    )
 
   for ((name, algo) <- algos; (label, pts, k) <- fairInputs) {
     test(s"$name returns a fair, duplicate-free subset $label") {

@@ -98,6 +98,22 @@ class MFDSpec extends AnyFunSuite {
     assert(Points.isFair(res.selected.toSeq, k), s"counts ${Points.colorCounts(res.selected.toSeq)}")
   }
 
+  test("an exhausted sweep falls back to a fair set at gamma 0 and reports its steps") {
+    // Color 1's only two points are 1e-12 apart, so no γ of the 120-step
+    // sweep from d_G is feasible.
+    val rnd = new java.util.Random(1)
+    val spread = Array.tabulate(20)(i => LabeledPoint(i.toLong, 0, Array(rnd.nextDouble() * 100, rnd.nextDouble() * 100)))
+    val pair = Array(LabeledPoint(20L, 1, Array(50.0, 50.0)), LabeledPoint(21L, 1, Array(50.0 + 1e-12, 50.0)))
+    val k = Map(0 -> 2, 1 -> 2)
+    val eps = 0.3
+    val res = MFD.run(spread ++ pair, k, MFD.Config(eps = eps, g = 1.0, seed = 1))
+    assert(Points.diversity(res.selected.toSeq) >= res.gamma / (2 * (1 + eps)),
+      s"div ${res.diversity} < gamma ${res.gamma} / (2(1+eps))")
+    assert(Points.isFair(res.selected.toSeq, k), s"counts ${Points.colorCounts(res.selected.toSeq)}")
+    assert(res.gamma == 0.0)
+    assert(res.gammaSteps == 120)
+  }
+
   test("g controls the iteration budget") {
     val pts = TestUtil.randomPoints(60, 2, 2, 7L)
     val k = Map(0 -> 3, 1 -> 3)
