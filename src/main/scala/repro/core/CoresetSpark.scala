@@ -1,15 +1,19 @@
 package repro.core
 
 import org.apache.spark.sql.Dataset
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.functions.col
 
 /** Distributed coreset construction — the Spark dataflow phase of the
   * reproduction (the `O(nk)` part of Corollary 4.3; everything downstream
   * runs on `m·k` points).
   *
   * Two-round composable k-center:
-  *   1. map side (one Spark stage): each partition runs the reference
-  *      `Coreset.local` (per-color Gonzalez(k')) on its points, emitting
-  *      ≤ m·k' partial centers;
+  *   1. map side (one Spark stage): each partition copies its rows, read as
+  *      Spark's internal rows, straight into a flat block (ids, colors,
+  *      row-major coordinates) and runs `Coreset.perColor` (per-color
+  *      Gonzalez(k')) on it, emitting ≤ m·k' partial centers — the only
+  *      `LabeledPoint`s the stage creates;
   *   2. merge (driver): the ≤ P·m·k' collected partial centers of the P
   *      partitions go through `Coreset.local` once more. That set is a few
   *      thousand points at most, so a shuffle round to regroup it by color
@@ -29,9 +33,47 @@ object CoresetSpark {
     * centers of every color `c`, in ascending color order.
     */
   def distributed(ds: Dataset[LabeledPoint], kPrime: Int): Array[LabeledPoint] = {
-    val spark = ds.sparkSession
-    import spark.implicits._
-    val partial = ds.mapPartitions(it => Coreset.local(it.toArray, kPrime).iterator).collect()
+    val sc = ds.sparkSession.sparkContext
+    // Selected by name, so the ordinals below hold whatever the physical
+    // column order, and a persisted `ds` is still read from its cache.
+    val rows = ds.select(col("id").cast("long"), col("color").cast("int"), col("x").cast("array<double>"))
+      .queryExecution.toRdd
+    val prev = sc.getLocalProperty("spark.job.description")
+    sc.setJobDescription(s"coreset: per-color Gonzalez k'=$kPrime")
+    val partial =
+      try rows.mapPartitions(it => partitionCoreset(it, kPrime)).collect()
+      finally sc.setJobDescription(prev)
     Coreset.local(partial, kPrime).sortBy(_.color)
+  }
+
+  /** Map side: one partition's rows (id, color, x) into growable primitive
+    * arrays, then per-color Gonzalez over the block. Spark reuses the row
+    * objects, so every value is copied out before the next row.
+    */
+  private def partitionCoreset(it: Iterator[InternalRow], kPrime: Int): Iterator[LabeledPoint] = {
+    var ids = new Array[Long](1024)
+    var colors = new Array[Int](1024)
+    var xs: Array[Double] = null
+    var d = -1
+    var n = 0
+    while (it.hasNext) {
+      val r = it.next()
+      val x = r.getArray(2)
+      if (d < 0) { d = x.numElements(); xs = new Array[Double](ids.length * d) }
+      require(x.numElements() == d, s"point ${r.getLong(0)} has ${x.numElements()} coordinates, expected $d")
+      if (n == ids.length) {
+        ids = java.util.Arrays.copyOf(ids, 2 * n)
+        colors = java.util.Arrays.copyOf(colors, 2 * n)
+        xs = java.util.Arrays.copyOf(xs, 2 * n * d)
+      }
+      ids(n) = r.getLong(0)
+      colors(n) = r.getInt(1)
+      var j = 0
+      while (j < d) { xs(n * d + j) = x.getDouble(j); j += 1 }
+      n += 1
+    }
+    if (n == 0) return Iterator.empty
+    Coreset.perColor(colors, xs, d, n, kPrime).iterator
+      .map(i => LabeledPoint(ids(i), colors(i), java.util.Arrays.copyOfRange(xs, i * d, (i + 1) * d)))
   }
 }

@@ -11,6 +11,9 @@ package repro.core
   * O(nk) time, O(n) space. Deterministic: index 0 is the first center. No
   * index is picked twice, so `min(k, n)` distinct indices come back even when
   * `k` exceeds the number of distinct locations.
+  *
+  * Every run goes through one loop over a row-major coordinate block
+  * ([[Points.flatten]]); `run` over points copies their coordinates first.
   */
 object Gonzalez {
 
@@ -20,25 +23,35 @@ object Gonzalez {
     */
   final case class Result(centers: Array[Int], radius: Double)
 
-  def run(pts: Array[LabeledPoint], k: Int): Result = {
-    val n = pts.length
-    if (n == 0) return Result(Array.empty, 0.0)
+  def run(pts: Array[LabeledPoint], k: Int): Result =
+    if (pts.isEmpty) Result(Array.empty, 0.0)
+    else flat(Points.flatten(pts), pts(0).x.length, 0, pts.length, k)
+
+  /** Gonzalez over the `n` rows `from until from + n` of the row-major block
+    * `xs` of dimension `d`. Centers are row indices relative to `from`.
+    */
+  def flat(xs: Array[Double], d: Int, from: Int, n: Int, k: Int): Result = {
     val kk = math.min(k, n)
     val minD = Array.fill(n)(Double.PositiveInfinity)
     val centers = new Array[Int](kk)
+    val base = from * d
     var cur = 0
     var c = 0
     while (c < kk) {
       centers(c) = cur
       minD(cur) = Double.NegativeInfinity // never re-picked, even among duplicates
-      val cx = pts(cur).x
+      val cb = base + cur * d
       var far = 0; var farD = -1.0
       var i = 0
+      var pb = base
       while (i < n) {
-        val d = Points.distSq(pts(i).x, cx)
-        if (d < minD(i)) minD(i) = d
+        var s = 0.0
+        var j = 0
+        while (j < d) { val t = xs(pb + j) - xs(cb + j); s += t * t; j += 1 }
+        if (s < minD(i)) minD(i) = s
         if (minD(i) > farD) { farD = minD(i); far = i }
         i += 1
+        pb += d
       }
       cur = far
       c += 1

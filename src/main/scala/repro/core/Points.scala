@@ -30,6 +30,19 @@ object Points {
     s
   }
 
+  /** Row-major coordinates of `pts`: point `i` is at `i·d until (i+1)·d`,
+    * with `d` the dimension of `pts(0)`. The flat block the `O(nk)` Gonzalez
+    * loop reads.
+    */
+  def flatten(pts: Array[LabeledPoint]): Array[Double] = {
+    if (pts.isEmpty) return Array.empty
+    val d = pts(0).x.length
+    val xs = new Array[Double](pts.length * d)
+    var i = 0
+    while (i < pts.length) { System.arraycopy(pts(i).x, 0, xs, i * d, d); i += 1 }
+    xs
+  }
+
   /** Euclidean distance. */
   def dist(a: Array[Double], b: Array[Double]): Double = math.sqrt(distSq(a, b))
 

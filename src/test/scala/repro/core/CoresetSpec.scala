@@ -1,5 +1,8 @@
 package repro.core
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 import repro.{Oracle, SparkSpec, TestUtil}
 import repro.data.Datasets
 
@@ -27,6 +30,82 @@ class CoresetSpec extends SparkSpec {
     val ids = pts.map(_.id).toSet
     cs.foreach(p => assert(ids.contains(p.id)))
     assert(cs.map(_.id).distinct.length == cs.length)
+  }
+
+  test("local coreset equals per-color Gonzalez over groupBy, in groupBy's color order") {
+    val rnd = new scala.util.Random(5L)
+    for (t <- 0 until 60) {
+      val m = 1 + t % 12
+      val pts = TestUtil.randomPoints(20 + rnd.nextInt(200), 1 + t % 3, m, 100L + t)
+      val want = pts.groupBy(_.color).values.flatMap(g => Gonzalez.centers(g, 4)).map(_.id).toSeq
+      assert(Coreset.local(pts, 4).map(_.id).toSeq == want, s"input $t (m=$m)")
+    }
+  }
+
+  /** Spark coreset of `pts` split into `parts` partitions, and the reference:
+    * the merge `Coreset.local` of the partitions' own `Coreset.local`s.
+    */
+  private def sparkAndReference(ds: org.apache.spark.sql.Dataset[LabeledPoint], kPrime: Int): (Seq[Long], Seq[Long]) = {
+    val perPartition = ds.rdd.glom().collect().flatMap(Coreset.local(_, kPrime))
+    (CoresetSpark.distributed(ds, kPrime).map(_.id).toSeq,
+      Coreset.local(perPartition, kPrime).sortBy(_.color).map(_.id).toSeq)
+  }
+
+  for (parts <- Seq(1, 3, 8)) {
+    test(s"Spark coreset equals the merge of the per-partition local coresets, P=$parts") {
+      val pts = TestUtil.clusteredPoints(2500, 3, 6, 9, 83L + parts)
+      val ds = spark.createDataset(spark.sparkContext.parallelize(pts.toSeq, parts))
+      val (got, want) = sparkAndReference(ds, 7)
+      assert(got == want)
+    }
+  }
+
+  test("Spark coreset with empty partitions: 5 points in 8 partitions") {
+    val pts = TestUtil.randomPoints(5, 2, 2, 17L)
+    val ds = spark.createDataset(spark.sparkContext.parallelize(pts.toSeq, 8))
+    val (got, want) = sparkAndReference(ds, 3)
+    assert(got == want)
+    assert(got.sorted == Coreset.local(pts, 3).map(_.id).toSeq.sorted)
+  }
+
+  test("Spark coreset of an empty Dataset is empty") {
+    assert(CoresetSpark.distributed(spark.emptyDataset[LabeledPoint], 5).isEmpty)
+    val fourEmpty = spark.createDataset(spark.sparkContext.parallelize(Seq.empty[LabeledPoint], 4))
+    assert(CoresetSpark.distributed(fourEmpty, 5).isEmpty)
+  }
+
+  test("Spark coreset reads columns by name, whatever their physical order") {
+    val pts = TestUtil.clusteredPoints(1200, 4, 3, 6, 41L)
+    val ds = spark.createDataset(spark.sparkContext.parallelize(pts.toSeq, 3))
+    val reordered = ds.toDF().select("x", "color", "id").as[LabeledPoint]
+    assert(reordered.columns.toSeq == Seq("x", "color", "id"))
+    val a = CoresetSpark.distributed(ds, 6)
+    val b = CoresetSpark.distributed(reordered, 6)
+    assert(a.map(_.id).toSeq == b.map(_.id).toSeq)
+    assert(a.zip(b).forall { case (p, q) => p.color == q.color && p.x.sameElements(q.x) })
+  }
+
+  test("the coreset job carries its description, and the caller's is restored") {
+    val sc = spark.sparkContext
+    val seen = scala.collection.mutable.ArrayBuffer[Option[String]]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = seen.synchronized {
+        seen += Option(e.properties).flatMap(p => Option(p.getProperty("spark.job.description")))
+      }
+    }
+    val ds = spark.createDataset(spark.sparkContext.parallelize(TestUtil.randomPoints(300, 2, 3, 23L).toSeq, 2))
+    sc.addSparkListener(listener)
+    sc.setJobDescription("caller")
+    try {
+      CoresetSpark.distributed(ds, 4)
+      assert(sc.getLocalProperty("spark.job.description") == "caller")
+      eventually(timeout(10.seconds)) {
+        assert(seen.synchronized(seen.toList) == List(Some("coreset: per-color Gonzalez k'=4")))
+      }
+    } finally {
+      sc.setJobDescription(null)
+      sc.removeSparkListener(listener)
+    }
   }
 
   /** Coverage radius of `centers` over `all`, per color. */

@@ -91,6 +91,44 @@ class GonzalezSpec extends AnyFunSuite {
     assert(ub >= opt - 1e-9)
   }
 
+  /** Obviously-correct reference: keep every point's distance to its
+    * nearest chosen center, and take as the next center the first point,
+    * not yet chosen, at the largest such distance. Index 0 comes first.
+    */
+  private def naive(pts: Array[LabeledPoint], k: Int): Gonzalez.Result = {
+    def d2(p: LabeledPoint, c: LabeledPoint): Double =
+      p.x.indices.foldLeft(0.0)((s, j) => s + (p.x(j) - c.x(j)) * (p.x(j) - c.x(j)))
+    val n = pts.length
+    val kk = math.min(k, n)
+    val minD = Array.fill(n)(Double.PositiveInfinity)
+    val chosen = scala.collection.mutable.ArrayBuffer[Int]()
+    var cur = 0
+    while (chosen.length < kk) {
+      chosen += cur
+      for (i <- 0 until n) minD(i) = math.min(minD(i), d2(pts(i), pts(cur)))
+      if (chosen.length < kk) cur = (0 until n).filterNot(chosen.contains).maxBy(minD(_))
+    }
+    Gonzalez.Result(chosen.toArray, if (n == 0) 0.0 else math.sqrt(minD.max))
+  }
+
+  test("the flat kernel matches the naive reference on 240 random inputs") {
+    val rnd = new scala.util.Random(97L)
+    for (t <- 0 until 240) {
+      val d = Seq(1, 2, 6)(t % 3)
+      val n = if (t % 20 == 0) 0 else if (t % 20 == 1) 1 else 2 + rnd.nextInt(60)
+      // Every fourth input sits on a 3-wide integer grid, so it holds duplicates.
+      val grid = t % 4 == 0
+      val pts = Array.tabulate(n) { i =>
+        LabeledPoint(i, 0, Array.fill(d)(if (grid) rnd.nextInt(3).toDouble else rnd.nextGaussian() * 10))
+      }
+      val k = 1 + rnd.nextInt(n + 5) // k > n on some inputs
+      val got = Gonzalez.run(pts, k)
+      val want = naive(pts, k)
+      assert(got.centers.toSeq == want.centers.toSeq, s"input $t (n=$n, d=$d, k=$k)")
+      assert(got.radius == want.radius, s"input $t (n=$n, d=$d, k=$k)")
+    }
+  }
+
   test("gonzalez centers have diversity >= half the unfair optimum") {
     // div(Gonzalez k picks) >= sigma_k / 2 (Tamir / Ravi et al.).
     for (seed <- 1 to 6) {
