@@ -7,8 +7,10 @@ import scala.collection.mutable.ArrayBuffer
   * MFD algorithm needs from a BBD-tree (the paper's implementation likewise
   * substitutes a KD-tree — ParGeo's — for the theoretical BBD-tree).
   *
-  * The tree is static: nodes are laid out in arrays; algorithms attach their
-  * own per-node weight arrays (sized [[nodeCount]]) and use
+  * The tree is static: its `2n − 1` nodes are laid out in fixed arrays, node
+  * `u`'s box at `u·d until (u+1)·d` of `boxLo`/`boxHi` (a leaf's box is its
+  * point). Algorithms attach their own per-node arrays (sized [[nodeCount]])
+  * and use
   * [[canonicalNodes]] plus the two whole-tree passes [[rootPathSums]]
   * (top-down) and [[subtreeSums]] (bottom-up) to implement the Oracle /
   * Update / Round primitives of the paper: each pass is O(nodes), and a
@@ -28,8 +30,8 @@ final class KdTree private (
     val parent: Array[Int],
     val leafPoint: Array[Int],   // node -> point index (-1 for internal)
     val leafOf: Array[Int],      // point index -> leaf node id
-    val boxLo: Array[Array[Double]],
-    val boxHi: Array[Array[Double]]
+    val boxLo: Array[Double],
+    val boxHi: Array[Double]
 ) {
   def nodeCount: Int = left.length
   def root: Int = 0
@@ -68,22 +70,22 @@ final class KdTree private (
   }
 
   private def minDistSq(q: Array[Double], u: Int): Double = {
-    val lo = boxLo(u); val hi = boxHi(u)
+    val b = u * dim
     var s = 0.0; var i = 0
     while (i < dim) {
-      val v = q(i)
-      if (v < lo(i)) { val d = lo(i) - v; s += d * d }
-      else if (v > hi(i)) { val d = v - hi(i); s += d * d }
+      val v = q(i); val lo = boxLo(b + i); val hi = boxHi(b + i)
+      if (v < lo) { val d = lo - v; s += d * d }
+      else if (v > hi) { val d = v - hi; s += d * d }
       i += 1
     }
     s
   }
 
   private def maxDistSq(q: Array[Double], u: Int): Double = {
-    val lo = boxLo(u); val hi = boxHi(u)
+    val b = u * dim
     var s = 0.0; var i = 0
     while (i < dim) {
-      val d = math.max(math.abs(q(i) - lo(i)), math.abs(q(i) - hi(i)))
+      val d = math.max(math.abs(q(i) - boxLo(b + i)), math.abs(q(i) - boxHi(b + i)))
       s += d * d
       i += 1
     }
@@ -126,38 +128,34 @@ object KdTree {
     require(pts.nonEmpty, "KdTree over empty set")
     val n = pts.length
     val dim = pts(0).x.length
+    val size = 2 * n - 1 // one leaf per point, and every internal node has two children
     val idx = Array.range(0, n)
 
-    val left = new ArrayBuffer[Int]()
-    val right = new ArrayBuffer[Int]()
-    val parent = new ArrayBuffer[Int]()
-    val leafPoint = new ArrayBuffer[Int]()
-    val boxLo = new ArrayBuffer[Array[Double]]()
-    val boxHi = new ArrayBuffer[Array[Double]]()
+    val left = Array.fill(size)(-1)
+    val right = Array.fill(size)(-1)
+    val parent = new Array[Int](size)
+    val leafPoint = Array.fill(size)(-1)
+    val boxLo = Array.fill(size * dim)(Double.PositiveInfinity)
+    val boxHi = Array.fill(size * dim)(Double.NegativeInfinity)
     val leafOf = new Array[Int](n)
-
-    def newNode(par: Int): Int = {
-      left += -1; right += -1; parent += par; leafPoint += -1
-      boxLo += null; boxHi += null
-      left.length - 1
-    }
+    var next = 0 // preorder ids: a parent's id is smaller than its children's
 
     def buildRec(lo: Int, hi: Int, par: Int): Int = {
-      val u = newNode(par)
-      val blo = Array.fill(dim)(Double.PositiveInfinity)
-      val bhi = Array.fill(dim)(Double.NegativeInfinity)
+      val u = next
+      next += 1
+      parent(u) = par
+      val b = u * dim
       var i = lo
       while (i < hi) {
         val x = pts(idx(i)).x
         var j = 0
         while (j < dim) {
-          if (x(j) < blo(j)) blo(j) = x(j)
-          if (x(j) > bhi(j)) bhi(j) = x(j)
+          if (x(j) < boxLo(b + j)) boxLo(b + j) = x(j)
+          if (x(j) > boxHi(b + j)) boxHi(b + j) = x(j)
           j += 1
         }
         i += 1
       }
-      boxLo(u) = blo; boxHi(u) = bhi
       if (hi - lo == 1) {
         leafPoint(u) = idx(lo)
         leafOf(idx(lo)) = u
@@ -166,22 +164,20 @@ object KdTree {
         var sd = 0; var w = -1.0
         var j = 0
         while (j < dim) {
-          val ww = bhi(j) - blo(j)
+          val ww = boxHi(b + j) - boxLo(b + j)
           if (ww > w) { w = ww; sd = j }
           j += 1
         }
         val mid = (lo + hi) / 2
         selectByDim(idx, lo, hi, mid, pts, sd)
-        val l = buildRec(lo, mid, u)
-        val r = buildRec(mid, hi, u)
-        left(u) = l; right(u) = r
+        left(u) = buildRec(lo, mid, u)
+        right(u) = buildRec(mid, hi, u)
       }
       u
     }
 
     buildRec(0, n, -1)
-    new KdTree(pts, left.toArray, right.toArray, parent.toArray,
-      leafPoint.toArray, leafOf, boxLo.toArray, boxHi.toArray)
+    new KdTree(pts, left, right, parent, leafPoint, leafOf, boxLo, boxHi)
   }
 
   /** In-place quickselect of `idx[lo,hi)` so position `mid` holds the median

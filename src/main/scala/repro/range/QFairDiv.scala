@@ -1,6 +1,7 @@
 package repro.range
 
 import repro.core.{Coreset, LabeledPoint, MFD}
+import repro.geo.KdTree
 import scala.collection.mutable.ArrayBuffer
 
 /** QFairDiv range structure (Theorem 5.2): preprocess `P` so that, given a
@@ -8,13 +9,14 @@ import scala.collection.mutable.ArrayBuffer
   * `P ∩ R` is returned without scanning `P`.
   *
   * The theoretical construction uses the range-k-center structures of
-  * [6, 44]; we realise the same contract with a bucketed KD-tree where each
-  * node stores a per-color Gonzalez(kMax) sample of its subtree. A query
-  * decomposes `R` into O(log n) canonical nodes plus boundary leaves; the
-  * union of canonical samples and filtered boundary points is a
-  * constant-factor per-color k-center solution of `P ∩ R` (k-center
-  * composability), i.e. a FairDiv coreset for the range — MFD finishes the
-  * job. Query cost is polylogarithmic in n for fixed k, m.
+  * [6, 44]; we realise the same contract on the shared [[KdTree]], where
+  * each node above `bucket` points stores a per-color Gonzalez(kMax) sample
+  * of its subtree and a smaller node stands for all its points. A query
+  * decomposes `R` into O(log n) canonical nodes (a leaf's box is its point,
+  * so every leaf reached is inside `R` or disjoint from it); the union of
+  * their samples is a constant-factor per-color k-center solution of `P ∩ R`
+  * (k-center composability), i.e. a FairDiv coreset for the range — MFD
+  * finishes the job. Query cost is polylogarithmic in n for fixed k, m.
   *
   * @param kMax largest per-query k supported by the samples
   */
@@ -22,90 +24,55 @@ final class QFairDiv(pts: Array[LabeledPoint], kMax: Int) {
   require(pts.nonEmpty)
   private val dim = pts(0).x.length
   private val bucket = math.max(4 * kMax, 64)
+  private val tree = KdTree.build(pts)
 
-  private final class Node(
-      val lo: Array[Double], val hi: Array[Double],
-      val points: Array[LabeledPoint],          // leaf payload (null for internal)
-      val left: Node, val right: Node,
-      val samples: Array[LabeledPoint]           // per-color Gonzalez sample
-  )
+  // By node id; null below `bucket` points. Children have larger ids than
+  // their parent, so one reverse id scan merges children before parents.
+  private val samples = new Array[Array[LabeledPoint]](tree.nodeCount)
 
-  private val root: Node = build(pts)
+  private def sample(u: Int): Array[LabeledPoint] =
+    if (samples(u) != null) samples(u) else tree.pointsUnder(u).map(pts)
 
-  private def build(ps: Array[LabeledPoint]): Node = {
-    val lo = Array.fill(dim)(Double.PositiveInfinity)
-    val hi = Array.fill(dim)(Double.NegativeInfinity)
-    ps.foreach { p =>
-      var j = 0
-      while (j < dim) {
-        if (p.x(j) < lo(j)) lo(j) = p.x(j)
-        if (p.x(j) > hi(j)) hi(j) = p.x(j)
-        j += 1
-      }
-    }
-    if (ps.length <= bucket) {
-      new Node(lo, hi, ps, null, null, Coreset.local(ps, kMax))
-    } else {
-      var sd = 0; var w = -1.0
-      var j = 0
-      while (j < dim) { if (hi(j) - lo(j) > w) { w = hi(j) - lo(j); sd = j }; j += 1 }
-      val sorted = ps.sortBy(_.x(sd))
-      val mid = sorted.length / 2
-      val l = build(sorted.take(mid))
-      val r = build(sorted.drop(mid))
+  locally {
+    val size = new Array[Double](tree.nodeCount)
+    tree.subtreeSums(Array.fill(pts.length)(1.0), size)
+    var u = tree.nodeCount - 1
+    while (u >= 0) {
       // Merge children samples with a second Gonzalez pass (composability).
-      new Node(lo, hi, null, l, r, Coreset.local(l.samples ++ r.samples, kMax))
+      if (size(u) > bucket) samples(u) = Coreset.local(sample(tree.left(u)) ++ sample(tree.right(u)), kMax)
+      u -= 1
     }
   }
 
-  private def boxInside(n: Node, qlo: Array[Double], qhi: Array[Double]): Boolean = {
-    var j = 0
-    while (j < dim) {
-      if (n.lo(j) < qlo(j) || n.hi(j) > qhi(j)) return false
-      j += 1
-    }
-    true
-  }
-
-  private def boxDisjoint(n: Node, qlo: Array[Double], qhi: Array[Double]): Boolean = {
-    var j = 0
-    while (j < dim) {
-      if (n.hi(j) < qlo(j) || n.lo(j) > qhi(j)) return true
-      j += 1
-    }
-    false
-  }
-
-  private def inRect(p: LabeledPoint, qlo: Array[Double], qhi: Array[Double]): Boolean = {
-    var j = 0
-    while (j < dim) {
-      if (p.x(j) < qlo(j) || p.x(j) > qhi(j)) return false
-      j += 1
-    }
-    true
-  }
-
-  /** The range coreset: union of canonical-node samples and boundary-leaf
-    * points inside `R`, re-thinned per color with Gonzalez(kTotal).
+  /** The range coreset: union of the canonical-node samples of `R`,
+    * re-thinned per color with Gonzalez(min(kMax, kTotal)).
     */
   def rangeCoreset(qlo: Array[Double], qhi: Array[Double], kTotal: Int): Array[LabeledPoint] = {
     val pool = new ArrayBuffer[LabeledPoint]()
-    def go(n: Node): Unit = {
-      if (boxDisjoint(n, qlo, qhi)) ()
-      else if (boxInside(n, qlo, qhi)) pool ++= n.samples
-      else if (n.points != null) n.points.foreach(p => if (inRect(p, qlo, qhi)) pool += p)
-      else { go(n.left); go(n.right) }
+    def go(u: Int): Unit = {
+      val b = u * dim
+      var inside = true
+      var j = 0
+      while (j < dim) {
+        val lo = tree.boxLo(b + j); val hi = tree.boxHi(b + j)
+        if (hi < qlo(j) || lo > qhi(j)) return
+        if (lo < qlo(j) || hi > qhi(j)) inside = false
+        j += 1
+      }
+      if (inside) pool ++= sample(u) else { go(tree.left(u)); go(tree.right(u)) }
     }
-    go(root)
+    go(tree.root)
     Coreset.local(pool.toArray, math.min(kMax, kTotal))
   }
 
   /** FairDiv over `P ∩ R`: range coreset + MFD. `k_j` are clipped by
-    * [[MFD.attainable]] (a query rectangle may simply lack a color).
+    * [[MFD.attainable]] (a query rectangle may simply lack a color). The
+    * samples hold kMax points per color, so Σ k_j may not exceed kMax.
     */
   def query(qlo: Array[Double], qhi: Array[Double], k: Map[Int, Int],
             cfg: MFD.Config = MFD.Config()): MFD.Result = {
     val kTotal = k.values.sum
+    require(kTotal <= kMax, s"Σ k_j = $kTotal exceeds kMax = $kMax, the per-color sample size")
     val coreset = rangeCoreset(qlo, qhi, kTotal)
     val attainable = MFD.attainable(coreset, k)
     require(attainable.nonEmpty, "query rectangle contains no point of any requested color")

@@ -34,20 +34,7 @@ final class DoublingKCenter(k: Int) {
     if (tau == 0.0 && cs.length < k) { cs += p; return }
     if (tau == 0.0) {
       // First overflow: initialise τ from the smallest pairwise distance.
-      var best = Double.PositiveInfinity
-      var i = 0
-      while (i < cs.length) {
-        var j = i + 1
-        while (j < cs.length) {
-          val d = Points.distSq(cs(i).x, cs(j).x)
-          if (d < best) best = d
-          j += 1
-        }
-        val d2 = Points.distSq(cs(i).x, p.x)
-        if (d2 < best) best = d2
-        i += 1
-      }
-      tau = math.sqrt(best) / 2.0
+      tau = Points.diversity((cs :+ p).toSeq) / 2.0
       if (tau == 0.0) tau = 1e-12
     }
     // Covered within 2τ ⇒ drop.

@@ -33,13 +33,16 @@ class KdTreeSpec extends AnyFunSuite {
         val leaf = tree.leafOf(i)
         assert(tree.isLeaf(leaf) && tree.leafPoint(leaf) == i)
       }
-      // Bounding boxes nest.
+      // Bounding boxes nest, and a leaf's box is its point.
       (0 until tree.nodeCount).foreach { u =>
         if (!tree.isLeaf(u)) {
           for (c <- Seq(tree.left(u), tree.right(u)); j <- 0 until d) {
-            assert(tree.boxLo(c)(j) >= tree.boxLo(u)(j) - 1e-12)
-            assert(tree.boxHi(c)(j) <= tree.boxHi(u)(j) + 1e-12)
+            assert(tree.boxLo(c * d + j) >= tree.boxLo(u * d + j) - 1e-12)
+            assert(tree.boxHi(c * d + j) <= tree.boxHi(u * d + j) + 1e-12)
           }
+        } else {
+          val x = pts(tree.leafPoint(u)).x
+          for (j <- 0 until d) assert(tree.boxLo(u * d + j) == x(j) && tree.boxHi(u * d + j) == x(j))
         }
       }
       // Children partition the parent's points.
