@@ -17,14 +17,21 @@ import scala.collection.mutable.ArrayBuffer
   *  - γ starts at the diversity of a colorblind Gonzalez(k) run and decays
   *    geometrically (×0.85) until the first feasible value, instead of a WSPD
   *    binary search;
-  *  - the MWU loop runs `g·T` iterations (early stopping), `g = 0.3` default,
-  *    `T = ⌈ε^{-2} k ln n⌉`;
+  *  - the MWU loop runs at most `g·T` iterations (early stopping), `g = 0.3`
+  *    default, `T = ⌈ε^{-2} k ln n⌉`;
   *  - a KD-tree stands in for the BBD-tree.
   *
+  * One deviation of ours: the MWU loop stops early at the first oracle pick
+  * `x̄_t` that is itself an integral point of LP2 (`max_ℓ (A x̄_t)_ℓ ≤ 1`),
+  * and rounds that pick instead of the average. `Config.paper` turns this
+  * off and runs the paper's fixed `g·T` count.
+  *
   * Guarantees (Theorem 3.2): the returned set S has pairwise distance
-  * ≥ γ/(2(1+ε)) by construction, and E[|S(c_j)|] ≥ k_j/(1+ε) when the MWU
-  * converged (larger `g` → closer to the bound; Table 4 measures the
-  * shortfall).
+  * ≥ γ/(2(1+ε)) by construction. When the loop stopped on an integral pick
+  * (`mwuIterations` below `g·T`), S is that pick: exactly `k_j` points of
+  * each color, pairwise more than γ/(2(1+ε)) apart, whatever the rounding
+  * seed. Otherwise E[|S(c_j)|] ≥ k_j/(1+ε) when the MWU converged (larger
+  * `g` → closer to the bound; Table 4 measures the shortfall).
   */
 object MFD {
 
@@ -37,18 +44,23 @@ object MFD {
     * @param g          early-stopping fraction of the theoretical iteration count
     * @param seed       rounding/sampling seed
     * @param deadlineNanos absolute System.nanoTime deadline; DNF if exceeded
+    * @param paper      run the paper's fixed `g·T` iterations: no stop on an
+    *                   integral pick (Table 4, Fig. 3/4)
     */
   final case class Config(
       eps: Double = 0.5,
       g: Double = 0.3,
       seed: Long = 17L,
-      deadlineNanos: Long = Long.MaxValue
+      deadlineNanos: Long = Long.MaxValue,
+      paper: Boolean = false
   )
 
-  /** Outcome of a run. `selected` satisfies div ≥ gamma/(2(1+eps)); fairness
-    * holds in expectation (see `Points.missedPerColor` for the shortfall).
-    * `mwuIterations` counts the solve of the accepted γ; when no γ is
-    * accepted, `selected` is a fair fallback with `gamma = 0` and
+  /** Outcome of a run. `selected` satisfies div ≥ gamma/(2(1+eps)).
+    * `mwuIterations` counts the iterations the solve of the accepted γ ran:
+    * below the cap `g·T`, it stopped on an integral pick and `selected` holds
+    * exactly `k_j` points of each color; at the cap, fairness holds in
+    * expectation (see `Points.missedPerColor` for the shortfall). When no γ
+    * is accepted, `selected` is a fair fallback with `gamma = 0` and
     * `mwuIterations = 0`, and `gammaSteps` still counts the steps taken.
     */
   final case class Result(
@@ -106,9 +118,9 @@ object MFD {
       val r = gamma / (2.0 * (1.0 + cfg.eps))
       val canon = Array.tabulate(n)(i => tree.canonicalNodes(pts(i).x, r, cfg.eps))
       solveGamma(tree, canon, colorIdx, kOf, kTotal, cfg, T) match {
-        case Some(xhat) =>
+        case Some((xhat, iters)) =>
           val sel = round(pts, tree, canon, xhat, cfg.seed)
-          return Result(sel, gamma, Points.diversity(sel.toSeq), T, steps)
+          return Result(sel, gamma, Points.diversity(sel.toSeq), iters, steps)
         case None =>
           gamma *= GammaDecay
           steps += 1
@@ -119,9 +131,14 @@ object MFD {
   }
 
   /** MWU solve of LP2 at the diversity γ whose canonical lists are `canon`.
-    * Returns the averaged fractional x̂, or None if some oracle call was
-    * infeasible. One iteration costs O(nodes + Σ|canon|) and allocates
-    * nothing.
+    * Returns x̂ and the iterations run, or None if some oracle call was
+    * infeasible. x̂ is the first oracle pick x̄_t with `max_ℓ (A x̄_t)_ℓ ≤ 1`
+    * (unless `cfg.paper`), else the average of the `T` picks. One iteration
+    * costs O(nodes + Σ|canon|) and allocates nothing.
+    *
+    * Rounding an integral pick returns exactly the pick: `canon(i)` holds
+    * `p_i`, so `R_i ≤ 1` means no other picked point lies under `canon(i)`,
+    * and Round rejects `i` only when an earlier sampled point does.
     */
   private def solveGamma(
       tree: KdTree,
@@ -131,7 +148,7 @@ object MFD {
       kTotal: Int,
       cfg: Config,
       T: Int
-  ): Option[Array[Double]] = {
+  ): Option[(Array[Double], Int)] = {
     val n = canon.length
     val h = Array.fill(n)(1.0 / n)
     val xhat = new Array[Double](n)
@@ -174,18 +191,22 @@ object MFD {
 
       // ---- Update (Algorithm 3): R_ℓ = (A x̄)_ℓ = Σ over canon(ℓ) of the
       // picked points under each node, counted by one bottom-up pass.
+      // R_ℓ sums 0/1 counts, so it is an exact integer.
       tree.subtreeSums(xbar, acc)
       var hSum = 0.0
+      var maxR = 0.0
       l = 0
       while (l < n) {
         var rSum = 0.0
         val cs = canon(l); var j = 0
         while (j < cs.length) { rSum += acc(cs(j)); j += 1 }
+        if (rSum > maxR) maxR = rSum
         val delta = (rSum - 1.0) / kTotal
         h(l) *= (1.0 + delta * cfg.eps / 4.0)
         hSum += h(l)
         l += 1
       }
+      if (!cfg.paper && maxR <= 1.0) return Some((xbar, t + 1)) // integral LP2 point
       l = 0
       while (l < n) { h(l) /= hSum; l += 1 }
 
@@ -193,7 +214,7 @@ object MFD {
     }
     var i = 0
     while (i < n) { xhat(i) /= T; i += 1 }
-    Some(xhat)
+    Some((xhat, T))
   }
 
   /** Randomized rounding (Algorithm 4): sample points proportional to x̂ ≥ 0

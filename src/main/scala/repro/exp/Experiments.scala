@@ -98,12 +98,13 @@ object Experiments {
 
   /** `reps` end-to-end runs of `MFDSpark.run` (ε = 0.3) on `spec`'s
     * Dataset, run `r` with seed `seedStep·r`: the runs that met `deadline`.
+    * `paper` runs MFD's fixed `g·T` iterations (see `MFD.Config`).
     */
   private def mfdRuns(spark: SparkSession, spec: Datasets.Spec, k: Map[Int, Int], g: Double,
-                      reps: Int, seedStep: Long, deadline: Long): Seq[MFDSpark.Timed] = {
+                      reps: Int, seedStep: Long, deadline: Long, paper: Boolean): Seq[MFDSpark.Timed] = {
     val ds = loadDS(spark, spec)
     (1 to reps).flatMap { rep =>
-      val cfg = MFD.Config(eps = 0.3, g = g, seed = seedStep * rep, deadlineNanos = deadline)
+      val cfg = MFD.Config(eps = 0.3, g = g, seed = seedStep * rep, deadlineNanos = deadline, paper = paper)
       try Some(MFDSpark.run(ds, k, cfg))
       catch { case _: Deadline.Exceeded => None }
     }
@@ -118,7 +119,7 @@ object Experiments {
     */
   def runMFD(spark: SparkSession, spec: Datasets.Spec, k: Map[Int, Int], kLabel: Int,
              g: Double, reps: Int): Run = {
-    val runs = mfdRuns(spark, spec, k, g, reps, 1000L, Deadline.in(DefaultDeadlineMs))
+    val runs = mfdRuns(spark, spec, k, g, reps, 1000L, Deadline.in(DefaultDeadlineMs), paper = false)
     if (runs.isEmpty) Run(s"MFD-$g", spec.name, kLabel, 0.0, DefaultDeadlineMs, dnf = true, 0.0)
     else {
       val ok = runs.length
@@ -161,7 +162,8 @@ object Experiments {
   }
 
   /** Table 4: average missed points per color for MFD-g, plus Fig. 3/4 rows
-    * (diversity and runtime per g).
+    * (diversity and runtime per g). Both run MFD in paper mode, so they
+    * measure the paper's fixed `g·T` iterations.
     */
   final case class FairnessRow(dataset: String, k: Int, g: Double,
                                missedPerColor: Map[Int, Double], missedTotal: Double,
@@ -197,7 +199,7 @@ object Experiments {
     val pts = load(spark, spec)
     for (kTotal <- ks; g <- gs) yield {
       val k = MFD.attainable(pts, Datasets.equalK(spec.m, kTotal))
-      val runs = mfdRuns(spark, spec, k, g, reps, 777L, Deadline.None)
+      val runs = mfdRuns(spark, spec, k, g, reps, 777L, Deadline.None, paper = true)
       val missed = scala.collection.mutable.Map[Int, Double]().withDefaultValue(0.0)
       runs.foreach { t =>
         Points.missedPerColor(t.result.selected.toSeq, k).foreach { case (c, miss) =>

@@ -1,6 +1,7 @@
 package repro.geo
 
 import repro.core.{LabeledPoint, Points}
+import java.util.Arrays
 import scala.collection.mutable.ArrayBuffer
 
 /** KD-tree over a fixed point set with the canonical-ball-query interface the
@@ -37,6 +38,8 @@ final class KdTree private (
   def root: Int = 0
   def isLeaf(u: Int): Boolean = leafPoint(u) >= 0
   private val dim = points(0).x.length
+  /** Median splits halve the points per level: a leaf is ⌈log2 n⌉ edges deep at most. */
+  private val height = 32 - Integer.numberOfLeadingZeros(points.length - 1)
 
   /** Node ids from the leaf of point `i` up to (and including) the root. */
   def pathToRoot(i: Int): Array[Int] = {
@@ -92,20 +95,37 @@ final class KdTree private (
     s
   }
 
-  /** Canonical nodes for the ball `B(q, r)` with slack `eps` (see class doc). */
+  /** Canonical nodes for the ball `B(q, r)` with slack `eps` (see class doc),
+    * in preorder, left child first.
+    */
   def canonicalNodes(q: Array[Double], r: Double, eps: Double): Array[Int] = {
-    val out = new ArrayBuffer[Int]()
     val r2 = r * r
     val r2eps = (1 + eps) * r * (1 + eps) * r
-    def go(u: Int): Unit = {
-      if (minDistSq(q, u) > r2) ()
-      else if (isLeaf(u)) {
-        if (Points.distSq(points(leafPoint(u)).x, q) <= r2) out += u
-      } else if (maxDistSq(q, u) <= r2eps) out += u
-      else { go(left(u)); go(right(u)) }
+    var out = new Array[Int](8)
+    var size = 0
+    // At most one pending right child per level, plus the current node.
+    val stack = new Array[Int](height + 1)
+    stack(0) = root
+    var top = 1
+    while (top > 0) {
+      top -= 1
+      val u = stack(top)
+      if (minDistSq(q, u) <= r2) {
+        val take =
+          if (isLeaf(u)) Points.distSq(points(leafPoint(u)).x, q) <= r2
+          else maxDistSq(q, u) <= r2eps
+        if (take) {
+          if (size == out.length) out = Arrays.copyOf(out, 2 * size)
+          out(size) = u
+          size += 1
+        } else if (!isLeaf(u)) {
+          stack(top) = right(u)
+          stack(top + 1) = left(u)
+          top += 2
+        }
+      }
     }
-    go(root)
-    out.toArray
+    Arrays.copyOf(out, size)
   }
 
   /** All point indices stored below node `u`. */

@@ -11,10 +11,77 @@ import repro.TestUtil
   *    case);
   *  - fairness in expectation: averaged over many rounding seeds,
   *    |S(c_j)| approaches k_j/(1+ε);
+  *  - exact fairness when the MWU loop stopped on an integral pick (fewer
+  *    iterations than the cap `⌈g·k·ln n/ε²⌉`): exactly k_j points of each
+  *    color, pairwise more than γ/(2(1+ε)) apart, whatever the rounding seed;
+  *  - paper mode runs the cap every time, and a run that reached the cap
+  *    returns what paper mode returns;
   *  - structural guarantees: selected points are input points, pairwise
   *    distance of S ≥ γ/(2(1+ε)) exactly (deterministic from Round).
   */
 class MFDSpec extends AnyFunSuite {
+
+  /** Random instance `s`: n 50–950, d 1–6, m 1–5, on an integer grid (so
+    * points repeat), k_j 1–5 clipped to the input, ε and g varying with `s`.
+    */
+  private def gridInstance(s: Int): (Array[LabeledPoint], Map[Int, Int], MFD.Config) = {
+    val rnd = new java.util.Random(1000L + s)
+    val n = 50 + rnd.nextInt(901); val d = 1 + rnd.nextInt(6); val m = 1 + rnd.nextInt(5)
+    val grid = 4 + rnd.nextInt(20)
+    val pts = Array.tabulate(n)(i => LabeledPoint(i.toLong, rnd.nextInt(m), Array.fill(d)(rnd.nextInt(grid).toDouble)))
+    val k = MFD.attainable(pts, (0 until m).map(c => c -> (1 + rnd.nextInt(5))).toMap)
+    (pts, k, MFD.Config(eps = if (s % 2 == 0) 0.3 else 0.5, g = Seq(0.1, 0.3, 1.0)(s % 3), seed = s))
+  }
+
+  /** The iteration cap `⌈g·k·ln n/ε²⌉`, as `MFD.run` computes it. */
+  private def cap(n: Int, k: Map[Int, Int], cfg: MFD.Config): Int =
+    math.max(1, math.ceil(cfg.g * k.values.sum * math.log(math.max(2, n)) / (cfg.eps * cfg.eps)).toInt)
+
+  private def sortedIds(r: MFD.Result): Seq[Long] = r.selected.map(_.id).sorted.toSeq
+
+  test("a run that stops before the cap returns exactly k_j per color, separated, for every seed") {
+    var stopped = 0
+    for (s <- 1 to 60) {
+      val (pts, k, cfg) = gridInstance(s)
+      val res = MFD.run(pts, k, cfg)
+      // mwuIterations = 0 is the fallback, which accepted no γ.
+      if (res.mwuIterations >= 1 && res.mwuIterations < cap(pts.length, k, cfg)) {
+        stopped += 1
+        assert(Points.colorCounts(res.selected.toSeq) == k.filter(_._2 > 0), s"instance $s")
+        assert(res.selected.map(_.id).distinct.length == res.selected.length, s"instance $s")
+        if (res.selected.length >= 2)
+          assert(res.diversity > res.gamma / (2 * (1 + cfg.eps)), s"instance $s")
+        for (seed <- 101 to 103)
+          assert(sortedIds(MFD.run(pts, k, cfg.copy(seed = seed))) == sortedIds(res), s"instance $s seed $seed")
+      }
+    }
+    assert(stopped >= 30, s"only $stopped of 60 instances stopped early")
+  }
+
+  test("one well-separated cluster per color stops at the first pick") {
+    val rnd = new java.util.Random(5L)
+    val pts = Array.tabulate(60)(i => LabeledPoint(i.toLong, i % 3,
+      Array(100.0 * (i % 3) + rnd.nextDouble(), rnd.nextDouble())))
+    val k = Map(0 -> 1, 1 -> 1, 2 -> 1)
+    val res = MFD.run(pts, k, MFD.Config(eps = 0.3, g = 0.3))
+    assert(res.mwuIterations == 1)
+    assert(res.gamma > 0.0)
+    assert(Points.colorCounts(res.selected.toSeq) == k)
+    assert(sortedIds(MFD.run(pts, k, MFD.Config(eps = 0.3, g = 0.3, seed = 99L))) == sortedIds(res))
+  }
+
+  test("paper mode runs the full cap, and a run that reaches the cap matches paper mode") {
+    for (s <- 1 to 60) {
+      val (pts, k, cfg) = gridInstance(s)
+      val paper = MFD.run(pts, k, cfg.copy(paper = true))
+      if (paper.gamma > 0.0) assert(paper.mwuIterations == cap(pts.length, k, cfg), s"instance $s")
+      val res = MFD.run(pts, k, cfg)
+      if (res.mwuIterations == cap(pts.length, k, cfg)) {
+        assert(sortedIds(res) == sortedIds(paper), s"instance $s")
+        assert(res.gamma == paper.gamma && res.gammaSteps == paper.gammaSteps, s"instance $s")
+      }
+    }
+  }
 
   for (seed <- 1 to 12) {
     test(s"diversity within provable factor of brute-force optimum seed=$seed") {
