@@ -9,11 +9,10 @@ import org.apache.spark.sql.functions.col
   * runs on `m·k` points).
   *
   * Two-round composable k-center:
-  *   1. map side (one Spark stage): each partition copies its rows, read as
-  *      Spark's internal rows, straight into a flat block (ids, colors,
-  *      row-major coordinates) and runs `Coreset.perColor` (per-color
-  *      Gonzalez(k')) on it, emitting ≤ m·k' partial centers — the only
-  *      `LabeledPoint`s the stage creates;
+  *   1. map side (one Spark stage): each partition reads its internal rows
+  *      straight into one column [[Block]] per color (no sort, no
+  *      partition-wide copy) and runs Gonzalez(k') on every block, emitting
+  *      ≤ m·k' partial centers — the only `LabeledPoint`s the stage creates;
   *   2. merge (driver): the ≤ P·m·k' collected partial centers of the P
   *      partitions go through `Coreset.local` once more. That set is a few
   *      thousand points at most, so a shuffle round to regroup it by color
@@ -46,34 +45,27 @@ object CoresetSpark {
     Coreset.local(partial, kPrime).sortBy(_.color)
   }
 
-  /** Map side: one partition's rows (id, color, x) into growable primitive
-    * arrays, then per-color Gonzalez over the block. Spark reuses the row
-    * objects, so every value is copied out before the next row.
+  /** Map side: each row goes straight into its color's [[Block]], in input
+    * order, then per-color Gonzalez(k') runs on the blocks. Spark reuses the
+    * row objects, so every value is copied out before the next row.
     */
   private def partitionCoreset(it: Iterator[InternalRow], kPrime: Int): Iterator[LabeledPoint] = {
-    var ids = new Array[Long](1024)
-    var colors = new Array[Int](1024)
-    var xs: Array[Double] = null
+    var blocks: Coreset.ByColor = null
     var d = -1
-    var n = 0
     while (it.hasNext) {
       val r = it.next()
       val x = r.getArray(2)
-      if (d < 0) { d = x.numElements(); xs = new Array[Double](ids.length * d) }
-      require(x.numElements() == d, s"point ${r.getLong(0)} has ${x.numElements()} coordinates, expected $d")
-      if (n == ids.length) {
-        ids = java.util.Arrays.copyOf(ids, 2 * n)
-        colors = java.util.Arrays.copyOf(colors, 2 * n)
-        xs = java.util.Arrays.copyOf(xs, 2 * n * d)
-      }
-      ids(n) = r.getLong(0)
-      colors(n) = r.getInt(1)
+      if (d < 0) { d = x.numElements(); blocks = new Coreset.ByColor(d, 1024) }
+      if (x.numElements() != d) // not `require`: its message closure would keep `x` from being scalar-replaced
+        throw new IllegalArgumentException(s"point ${r.getLong(0)} has ${x.numElements()} coordinates, expected $d")
+      val b = blocks(r.getInt(1))
+      val i = b.add(r.getLong(0))
       var j = 0
-      while (j < d) { xs(n * d + j) = x.getDouble(j); j += 1 }
-      n += 1
+      while (j < d) { b.cols(j)(i) = x.getDouble(j); j += 1 }
     }
-    if (n == 0) return Iterator.empty
-    Coreset.perColor(colors, xs, d, n, kPrime).iterator
-      .map(i => LabeledPoint(ids(i), colors(i), java.util.Arrays.copyOfRange(xs, i * d, (i + 1) * d)))
+    if (blocks == null) Iterator.empty
+    else blocks.centers(kPrime).flatMap { case (c, b, cs) =>
+      cs.iterator.map(i => LabeledPoint(b.ids(i), c, Array.tabulate(d)(b.cols(_)(i))))
+    }
   }
 }

@@ -12,8 +12,8 @@ package repro.core
   * index is picked twice, so `min(k, n)` distinct indices come back even when
   * `k` exceeds the number of distinct locations.
   *
-  * Every run goes through one loop over a row-major coordinate block
-  * ([[Points.flatten]]); `run` over points copies their coordinates first.
+  * Every run goes through one kernel, [[columns]], over a column [[Block]];
+  * `run` over points copies their coordinates into one first.
   */
 object Gonzalez {
 
@@ -23,35 +23,42 @@ object Gonzalez {
     */
   final case class Result(centers: Array[Int], radius: Double)
 
-  def run(pts: Array[LabeledPoint], k: Int): Result =
-    if (pts.isEmpty) Result(Array.empty, 0.0)
-    else flat(Points.flatten(pts), pts(0).x.length, 0, pts.length, k)
+  def run(pts: Array[LabeledPoint], k: Int): Result = {
+    val b = new Block(if (pts.isEmpty) 0 else pts(0).x.length, pts.length)
+    pts.foreach(p => b.add(p.id, p.x))
+    columns(b.cols, b.n, k)
+  }
 
-  /** Gonzalez over the `n` rows `from until from + n` of the row-major block
-    * `xs` of dimension `d`. Centers are row indices relative to `from`.
+  /** Gonzalez over the first `n` points of the columns `cols` of a [[Block]].
+    * A round takes one pass per dimension `j` that adds `(x_j(i) - c_j)²` into
+    * `acc` (loops the JIT vectorises), in the order `j = 0 … d-1` of a
+    * row-at-a-time `s += t * t`, so distances, centers and radius are
+    * bit-identical to it; then one pass updates `minD` and picks the farthest
+    * point, ties to the smallest index (strict `>`).
     */
-  def flat(xs: Array[Double], d: Int, from: Int, n: Int, k: Int): Result = {
+  def columns(cols: Array[Array[Double]], n: Int, k: Int): Result = {
     val kk = math.min(k, n)
     val minD = Array.fill(n)(Double.PositiveInfinity)
+    val acc = new Array[Double](n)
     val centers = new Array[Int](kk)
-    val base = from * d
     var cur = 0
     var c = 0
     while (c < kk) {
       centers(c) = cur
       minD(cur) = Double.NegativeInfinity // never re-picked, even among duplicates
-      val cb = base + cur * d
-      var far = 0; var farD = -1.0
-      var i = 0
-      var pb = base
+      var j = 0
+      while (j < cols.length) {
+        val x = cols(j); val cj = x(cur)
+        var i = 0
+        if (j == 0) while (i < n) { val t = x(i) - cj; acc(i) = t * t; i += 1 }
+        else while (i < n) { val t = x(i) - cj; acc(i) += t * t; i += 1 }
+        j += 1
+      }
+      var far = 0; var farD = -1.0; var i = 0
       while (i < n) {
-        var s = 0.0
-        var j = 0
-        while (j < d) { val t = xs(pb + j) - xs(cb + j); s += t * t; j += 1 }
-        if (s < minD(i)) minD(i) = s
+        if (acc(i) < minD(i)) minD(i) = acc(i)
         if (minD(i) > farD) { farD = minD(i); far = i }
         i += 1
-        pb += d
       }
       cur = far
       c += 1

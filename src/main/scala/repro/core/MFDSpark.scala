@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.Dataset
 
 /** End-to-end MFD on Spark (Corollary 4.3): distributed coreset construction
   * over the full dataset, then the MWU solve + rounding on the driver over
@@ -21,14 +21,5 @@ object MFDSpark {
     val res = MFD.run(coreset, k, cfg)
     val t2 = System.nanoTime()
     Timed(res, (t1 - t0) / 1000000, (t2 - t1) / 1000000, coreset.length)
-  }
-
-  /** Flat-DataFrame entry point (columns id, color, x0..x{d-1}); returns the
-    * selected points as a flat DataFrame for SQL-level verification.
-    */
-  def runFlat(df: DataFrame, k: Map[Int, Int], cfg: MFD.Config = MFD.Config()): DataFrame = {
-    val ds = Points.fromFlatDF(df)
-    val timed = run(ds, k, cfg)
-    Points.toFlatDF(df.sparkSession, timed.result.selected.toSeq)
   }
 }

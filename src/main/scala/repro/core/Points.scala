@@ -13,12 +13,42 @@ final case class LabeledPoint(id: Long, color: Int, x: Array[Double]) {
   override def toString: String = s"LabeledPoint($id, c$color, [${x.mkString(",")}])"
 }
 
+/** Points in columns, the one layout the `O(nk)` Gonzalez kernel reads:
+  * point `i < n` has id `ids(i)` and coordinates `cols(j)(i)`, `j < d`.
+  * Points keep the order they were added in; the arrays double when full.
+  */
+final class Block(d: Int, capacity: Int) {
+  var ids = new Array[Long](math.max(1, capacity))
+  val cols: Array[Array[Double]] = Array.fill(d)(new Array[Double](ids.length))
+  var n = 0
+
+  /** Appends point `id` and returns its index; the caller then writes its
+    * coordinates into `cols(j)(index)`.
+    */
+  def add(id: Long): Int = {
+    if (n == ids.length) grow()
+    ids(n) = id; n += 1; n - 1
+  }
+
+  private def grow(): Unit = {
+    ids = java.util.Arrays.copyOf(ids, 2 * n)
+    var j = 0
+    while (j < d) { cols(j) = java.util.Arrays.copyOf(cols(j), 2 * n); j += 1 }
+  }
+
+  def add(id: Long, x: Array[Double]): Unit = {
+    val i = add(id)
+    var j = 0
+    while (j < d) { cols(j)(i) = x(j); j += 1 }
+  }
+}
+
 /** Geometry helpers shared by every module.
   *
   * Distances are plain Euclidean over `Array[Double]`; all hot loops avoid
-  * allocation. DataFrame conversions use one flat column per coordinate
-  * (`x0..x{d-1}`) so results remain comparable in the DuckDB oracle, which
-  * only handles scalar columns.
+  * allocation; the Gonzalez kernel reads a column [[Block]]. DataFrame
+  * conversions use one flat column per coordinate (`x0..x{d-1}`) so results
+  * remain comparable in the DuckDB oracle, which only handles scalar columns.
   */
 object Points {
 
@@ -28,19 +58,6 @@ object Points {
     var i = 0
     while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
     s
-  }
-
-  /** Row-major coordinates of `pts`: point `i` is at `i·d until (i+1)·d`,
-    * with `d` the dimension of `pts(0)`. The flat block the `O(nk)` Gonzalez
-    * loop reads.
-    */
-  def flatten(pts: Array[LabeledPoint]): Array[Double] = {
-    if (pts.isEmpty) return Array.empty
-    val d = pts(0).x.length
-    val xs = new Array[Double](pts.length * d)
-    var i = 0
-    while (i < pts.length) { System.arraycopy(pts(i).x, 0, xs, i * d, d); i += 1 }
-    xs
   }
 
   /** Euclidean distance. */

@@ -32,31 +32,48 @@ class CoresetSpec extends SparkSpec {
     assert(cs.map(_.id).distinct.length == cs.length)
   }
 
+  /** Per-color Gonzalez(k') over `groupBy`, colors in its key order. */
+  private def groupByCoreset(pts: Array[LabeledPoint], kPrime: Int): Array[LabeledPoint] =
+    pts.groupBy(_.color).values.flatMap(g => Gonzalez.centers(g, kPrime)).toArray
+
+  /** Color ids far from `0 until m`: both ends of `Int`, sparse ids, and
+    * six colors, past the four up to which `groupBy` keeps insertion order.
+    */
+  private val sparseColors = Seq(Array(Int.MinValue, Int.MaxValue), Array(-7, 0, 3, 1 << 20),
+    Array(-5, 9, 1 << 30, -(1 << 30), 77, 12345))
+
+  private def recolor(pts: Array[LabeledPoint], colors: Array[Int]): Array[LabeledPoint] =
+    pts.map(p => p.copy(color = colors(p.color % colors.length)))
+
   test("local coreset equals per-color Gonzalez over groupBy, in groupBy's color order") {
     val rnd = new scala.util.Random(5L)
-    for (t <- 0 until 60) {
+    val inputs = (0 until 60).map { t =>
       val m = 1 + t % 12
-      val pts = TestUtil.randomPoints(20 + rnd.nextInt(200), 1 + t % 3, m, 100L + t)
-      val want = pts.groupBy(_.color).values.flatMap(g => Gonzalez.centers(g, 4)).map(_.id).toSeq
-      assert(Coreset.local(pts, 4).map(_.id).toSeq == want, s"input $t (m=$m)")
+      (s"input $t (m=$m)", TestUtil.randomPoints(20 + rnd.nextInt(200), 1 + t % 3, m, 100L + t))
+    } ++ sparseColors.map { cs =>
+      (s"colors ${cs.mkString(",")}", recolor(TestUtil.randomPoints(300, 2, cs.length, 19L), cs))
     }
+    for ((name, pts) <- inputs)
+      assert(Coreset.local(pts, 4).map(_.id).toSeq == groupByCoreset(pts, 4).map(_.id).toSeq, name)
   }
 
-  /** Spark coreset of `pts` split into `parts` partitions, and the reference:
-    * the merge `Coreset.local` of the partitions' own `Coreset.local`s.
+  /** Spark coreset of `ds`, and the reference: per-color Gonzalez over
+    * `groupBy` on each partition, the same again on the union, colors sorted.
     */
   private def sparkAndReference(ds: org.apache.spark.sql.Dataset[LabeledPoint], kPrime: Int): (Seq[Long], Seq[Long]) = {
-    val perPartition = ds.rdd.glom().collect().flatMap(Coreset.local(_, kPrime))
+    val perPartition = ds.rdd.glom().collect().flatMap(groupByCoreset(_, kPrime))
     (CoresetSpark.distributed(ds, kPrime).map(_.id).toSeq,
-      Coreset.local(perPartition, kPrime).sortBy(_.color).map(_.id).toSeq)
+      groupByCoreset(perPartition, kPrime).sortBy(_.color).map(_.id).toSeq)
   }
 
   for (parts <- Seq(1, 3, 8)) {
     test(s"Spark coreset equals the merge of the per-partition local coresets, P=$parts") {
       val pts = TestUtil.clusteredPoints(2500, 3, 6, 9, 83L + parts)
-      val ds = spark.createDataset(spark.sparkContext.parallelize(pts.toSeq, parts))
-      val (got, want) = sparkAndReference(ds, 7)
-      assert(got == want)
+      for (p <- pts +: sparseColors.map(recolor(pts, _))) {
+        val ds = spark.createDataset(spark.sparkContext.parallelize(p.toSeq, parts))
+        val (got, want) = sparkAndReference(ds, 7)
+        assert(got == want, s"colors ${p.map(_.color).distinct.sorted.mkString(",")}")
+      }
     }
   }
 
@@ -188,7 +205,8 @@ class CoresetSpec extends SparkSpec {
     val df = Datasets.generate(spark, spec, 0.01)
     // At this tiny scale a rare color may be absent — clip k to what exists.
     val k = MFD.attainable(Points.fromFlatDF(df).collect(), Datasets.equalK(spec.m, 10))
-    val sel = MFDSpark.runFlat(df, k, MFD.Config(eps = 0.5, g = 0.3))
+    val timed = MFDSpark.run(Points.fromFlatDF(df), k, MFD.Config(eps = 0.5, g = 0.3))
+    val sel = Points.toFlatDF(spark, timed.result.selected.toSeq)
     assert(sel.count() >= 2)
     Oracle.assertEquivalent(
       Points.diversityDF(sel),

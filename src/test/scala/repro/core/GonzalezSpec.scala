@@ -111,10 +111,11 @@ class GonzalezSpec extends AnyFunSuite {
     Gonzalez.Result(chosen.toArray, if (n == 0) 0.0 else math.sqrt(minD.max))
   }
 
-  test("the flat kernel matches the naive reference on 240 random inputs") {
+  test("the column kernel matches the naive reference on 400 random inputs") {
     val rnd = new scala.util.Random(97L)
-    for (t <- 0 until 240) {
-      val d = Seq(1, 2, 6)(t % 3)
+    for (t <- 0 until 400) {
+      // Inputs 240 and on add d = 3 and d = 8 (Diabetes), in runs of 20.
+      val d = if (t < 240) Seq(1, 2, 6)(t % 3) else Seq(3, 8)(t / 20 % 2)
       val n = if (t % 20 == 0) 0 else if (t % 20 == 1) 1 else 2 + rnd.nextInt(60)
       // Every fourth input sits on a 3-wide integer grid, so it holds duplicates.
       val grid = t % 4 == 0
