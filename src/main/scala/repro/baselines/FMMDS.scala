@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Coreset, Deadline, Gonzalez, LabeledPoint}
+import repro.core.{Coreset, Deadline, Gonzalez, LabeledPoint, Sweep}
 import repro.ilp.ColorILP
 
 /** FMMD-S baseline (Wang, Mathioudakis, Li, Fabbri, SDM 2023 [52]) —
@@ -25,11 +25,11 @@ object FMMDS {
              deadlineNanos: Long = Deadline.None): Array[LabeledPoint] = {
     val kTotal = k.values.sum
     val cand = Coreset.local(pts, kTotal)
-    val delta = Gonzalez.diversityUpperBound(cand, math.max(2, kTotal))
-    Sweep.firstFeasible(cand, k, delta, 1.0 - Eps, 400, deadlineNanos)(d =>
+    val delta = Gonzalez.diversityUpperBound(cand, kTotal)
+    Sweep.geometric(delta, 1.0 - Eps, 400, deadlineNanos)(d =>
       ColorILP.solve(cand, k, d) match {
         case ColorILP.Feasible(sel) => Some(sel.map(cand))
         case _ => None
-      })
+      }).fold(Sweep.fallback(cand, k))(_.result)
   }
 }

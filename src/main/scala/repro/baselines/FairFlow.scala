@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Coreset, Deadline, Gonzalez, LabeledPoint, Points}
+import repro.core.{Coreset, Deadline, Gonzalez, LabeledPoint, Points, Sweep}
 
 /** FairFlow baseline (Moumoulidou, McGregor, Meliou, ICDT 2021 [41]) —
   * `1/(3m-1)`-approximation, the "fast but low diversity" end of the
@@ -15,8 +15,8 @@ import repro.core.{Coreset, Deadline, Gonzalez, LabeledPoint, Points}
   *     source → color(cap k_j) → cluster(cap 1) → sink max-flow assigns one
   *     color to each cluster;
   *  4. if the flow is < k the separation decays (×0.85, ≤ 200 steps of
-  *     [[Sweep.firstFeasible]]) until feasible — at tiny separation every
-  *     candidate is its own cluster.
+  *     [[Sweep.geometric]], else [[Sweep.fallback]]) until feasible — at
+  *     tiny separation every candidate is its own cluster.
   */
 object FairFlow {
 
@@ -24,9 +24,9 @@ object FairFlow {
              deadlineNanos: Long = Deadline.None): Array[LabeledPoint] = {
     val kTotal = k.values.sum
     val cand = Coreset.local(pts, kTotal)
-    val d = Gonzalez.diversityUpperBound(pts, math.max(2, kTotal))
-    Sweep.firstFeasible(cand, k, d / (3.0 * k.size - 1.0), 0.85, 200, deadlineNanos)(
-      sep => trySeparation(cand, k, sep))
+    val d = Gonzalez.diversityUpperBound(pts, kTotal)
+    Sweep.geometric(d / (3.0 * k.size - 1.0), 0.85, 200, deadlineNanos)(sep => trySeparation(cand, k, sep))
+      .fold(Sweep.fallback(cand, k))(_.result)
   }
 
   private def trySeparation(cand: Array[LabeledPoint], k: Map[Int, Int],
@@ -48,6 +48,6 @@ object FairFlow {
       else assign(i) = best
       i += 1
     }
-    Sweep.onePerGroup(cand, k, assign, centers.length)
+    GroupFlow.onePerGroup(cand, k, assign, centers.length)
   }
 }

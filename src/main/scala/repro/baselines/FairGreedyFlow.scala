@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Coreset, Deadline, Gonzalez, LabeledPoint, Points}
+import repro.core.{Coreset, Deadline, Gonzalez, LabeledPoint, Points, Sweep}
 
 /** FairGreedyFlow baseline (Addanki, McGregor, Meliou, Moumoulidou,
   * ICDT 2022 [7]) — `1/((m+1)(1+ε))`-approximation via a γ sweep with a
@@ -12,7 +12,7 @@ import repro.core.{Coreset, Deadline, Gonzalez, LabeledPoint, Points}
   * ≥ γ/(m+1) apart); a source → color(cap k_j) → group(cap 1) → sink flow of
   * value k certifies feasibility and yields the selection. γ starts at the
   * coreset's colorblind Gonzalez diversity and decays ×0.85 (≤ 200 steps of
-  * [[Sweep.firstFeasible]]), on the m·k coreset as in the paper's §6.
+  * [[Sweep.geometric]]), on the m·k coreset as in the paper's §6.
   */
 object FairGreedyFlow {
 
@@ -20,9 +20,9 @@ object FairGreedyFlow {
              deadlineNanos: Long = Deadline.None): Array[LabeledPoint] = {
     val kTotal = k.values.sum
     val cand = Coreset.local(pts, kTotal)
-    val gamma = Gonzalez.diversityUpperBound(cand, math.max(2, kTotal))
-    Sweep.firstFeasible(cand, k, gamma, 0.85, 200, deadlineNanos)(
-      g => tryGamma(cand, k, kTotal, k.size, g))
+    val gamma = Gonzalez.diversityUpperBound(cand, kTotal)
+    Sweep.geometric(gamma, 0.85, 200, deadlineNanos)(g => tryGamma(cand, k, kTotal, k.size, g))
+      .fold(Sweep.fallback(cand, k))(_.result)
   }
 
   private def tryGamma(cand: Array[LabeledPoint], k: Map[Int, Int], kTotal: Int,
@@ -61,6 +61,6 @@ object FairGreedyFlow {
       assign(i) = best
       i += 1
     }
-    Sweep.onePerGroup(cand, k, assign, centers.length)
+    GroupFlow.onePerGroup(cand, k, assign, centers.length)
   }
 }

@@ -1,35 +1,12 @@
 package repro.baselines
 
-import repro.core.{Deadline, LabeledPoint, Points}
+import repro.core.LabeledPoint
 import repro.flow.MaxFlow
 
-/** The skeleton FairFlow, FairGreedyFlow and FMMD-S share (paper §6): on
-  * the m·k coreset, lower a separation geometrically from a Gonzalez scale
-  * until the baseline's own feasibility rule yields a fair selection.
+/** The max-flow step FairFlow and FairGreedyFlow share: one candidate per
+  * group, `k_j` per color.
   */
-private[baselines] object Sweep {
-
-  /** Tries `start`, `start·decay`, … (at most `steps` values) and returns the
-    * first selection `feasible` yields. Falls back to
-    * [[Points.firstPerColor]] of `cand` when `start` is not a positive
-    * finite number or every step fails.
-    */
-  def firstFeasible(cand: Array[LabeledPoint], k: Map[Int, Int], start: Double, decay: Double,
-                    steps: Int, deadlineNanos: Long)
-                   (feasible: Double => Option[Array[LabeledPoint]]): Array[LabeledPoint] = {
-    if (java.lang.Double.isFinite(start) && start > 0) {
-      var sep = start
-      var attempt = 0
-      while (attempt < steps) {
-        Deadline.check(deadlineNanos)
-        feasible(sep) match {
-          case Some(sel) => return sel
-          case None => sep *= decay; attempt += 1
-        }
-      }
-    }
-    Points.firstPerColor(cand, k)
-  }
+private[baselines] object GroupFlow {
 
   /** Picks `k_j` candidates of each color, at most one per group, via a
     * source → color (cap `k_j`) → group (cap 1) → sink max-flow over the

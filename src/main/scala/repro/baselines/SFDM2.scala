@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Coreset, Deadline, Gonzalez, LabeledPoint, Points}
+import repro.core.{Coreset, Deadline, Gonzalez, LabeledPoint, Points, Sweep}
 import scala.collection.mutable.ArrayBuffer
 
 /** SFDM-2 baseline (Wang, Fabbri, Mathioudakis, ICDE 2022 [50]) — the
@@ -106,15 +106,14 @@ final class SFDM2(k: Map[Int, Int], eps: Double, dMin: Double, dMax: Double) {
       }
       if (ok) {
         val div = Points.diversity(sel.toSeq)
-        val divVal = if (div.isInfinity) 0.0 else div
-        if (divVal > bestDiv) { bestDiv = divVal; best = sel.toArray }
+        if (div > bestDiv) { bestDiv = div; best = sel.toArray }
       }
       li -= 1
     }
     if (best != null) return best
     // No level satisfied fairness (color scarcer than k_j in the stream):
-    // return the best-effort selection of the lowest level with no separation.
-    Points.firstPerColor(levels(0).perColor.valuesIterator.flatten.toArray, k)
+    // return the fair fallback over the μ = 0 level's per-color sets.
+    Sweep.fallback(levels(0).perColor.valuesIterator.flatten.toArray, k)
   }
 }
 
@@ -137,7 +136,7 @@ object SFDM2 {
   def create(pts: Array[LabeledPoint], k: Map[Int, Int], eps: Double): SFDM2 = {
     val kTotal = k.values.sum
     val coreset = Coreset.local(pts, kTotal)
-    val dMax = Gonzalez.diversityUpperBound(pts, math.max(2, kTotal))
+    val dMax = Gonzalez.diversityUpperBound(pts, kTotal)
     var dMin = Double.PositiveInfinity
     var i = 0
     while (i < coreset.length) {
@@ -150,7 +149,6 @@ object SFDM2 {
       i += 1
     }
     val lo = if (java.lang.Double.isFinite(dMin)) math.sqrt(dMin) else 1e-6
-    val hi = if (java.lang.Double.isFinite(dMax)) dMax else lo * 2
-    new SFDM2(k, eps, lo, hi)
+    new SFDM2(k, eps, lo, dMax)
   }
 }

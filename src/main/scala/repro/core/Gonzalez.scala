@@ -76,10 +76,9 @@ object Gonzalez {
   /** Diversity `d_G` (min pairwise distance) of a colorblind Gonzalez run —
     * the paper's practical *start* for the γ sweep. It is not an upper bound
     * on the FairDiv optimum: `2·d_G` is (Gonzalez's farthest-first
-    * pigeonhole argument), and OPT may exceed `d_G`.
+    * pigeonhole argument), and OPT may exceed `d_G`. It is 0 for `k < 2`
+    * (the diversity of one point) and for fewer than `k` distinct locations.
     */
-  def diversityUpperBound(pts: Array[LabeledPoint], k: Int): Double = {
-    val cs = centers(pts, k)
-    if (cs.length < 2) Double.PositiveInfinity else Points.diversity(cs.toSeq)
-  }
+  def diversityUpperBound(pts: Array[LabeledPoint], k: Int): Double =
+    Points.diversity(centers(pts, k).toSeq)
 }

@@ -60,8 +60,10 @@ object MFD {
     * below the cap `g·T`, it stopped on an integral pick and `selected` holds
     * exactly `k_j` points of each color; at the cap, fairness holds in
     * expectation (see `Points.missedPerColor` for the shortfall). When no γ
-    * is accepted, `selected` is a fair fallback with `gamma = 0` and
-    * `mwuIterations = 0`, and `gammaSteps` still counts the steps taken.
+    * is accepted, `selected` is [[Sweep.fallback]] with `gamma = 0`,
+    * `mwuIterations = 0` and `gammaSteps` 0 when the start `d_G` is 0
+    * (`Σk_j = 1`, so `diversity` is 0, or too few distinct locations) or 120
+    * when every γ of the sweep failed.
     */
   final case class Result(
       selected: Array[LabeledPoint],
@@ -95,39 +97,36 @@ object MFD {
     val kTotal = kOf.sum
     require(kTotal >= 1, "k must be >= 1")
 
-    // Fair but diversity-agnostic pick (per-color Gonzalez). γ = 0 keeps the
-    // contract div ≥ γ/(2(1+ε)) whatever the pick's diversity.
+    // Fair but diversity-agnostic pick. γ = 0 keeps the contract
+    // div ≥ γ/(2(1+ε)) whatever the pick's diversity.
     def fallback(steps: Int): Result = {
-      val sel = colors.indices.flatMap(j => Gonzalez.centers(colorIdx(j).map(pts), kOf(j))).toArray
+      val sel = Sweep.fallback(pts, k)
       Result(sel, 0.0, Points.diversity(sel.toSeq), 0, steps)
     }
 
-    var gamma = Gonzalez.diversityUpperBound(pts, math.max(2, kTotal))
-    // Degenerate geometry (duplicates / singleton): every fair k-set has diversity 0.
-    if (!java.lang.Double.isFinite(gamma) || gamma <= 0.0) return fallback(0)
+    val start = Gonzalez.diversityUpperBound(pts, kTotal)
+    // Σk_j = 1, or fewer than Σk_j distinct locations (start 0): every fair
+    // set has diversity 0. The sweep rejects the same starts; this skips the
+    // tree build.
+    if (!java.lang.Double.isFinite(start) || start <= 0) return fallback(0)
 
     val n = pts.length
     val tree = KdTree.build(pts)
     val T = math.max(1, math.ceil(cfg.g * kTotal * math.log(math.max(2, n)) / (cfg.eps * cfg.eps)).toInt)
 
-    var steps = 0
-    while (steps < MaxGammaSteps) {
-      Deadline.check(cfg.deadlineNanos)
+    Sweep.geometric(start, GammaDecay, MaxGammaSteps, cfg.deadlineNanos) { gamma =>
       // Canonical node lists are a function of (point, γ) only; rounding
       // reuses them at the same radius.
       val r = gamma / (2.0 * (1.0 + cfg.eps))
       val canon = Array.tabulate(n)(i => tree.canonicalNodes(pts(i).x, r, cfg.eps))
-      solveGamma(tree, canon, colorIdx, kOf, kTotal, cfg, T) match {
-        case Some((xhat, iters)) =>
-          val sel = round(pts, tree, canon, xhat, cfg.seed)
-          return Result(sel, gamma, Points.diversity(sel.toSeq), iters, steps)
-        case None =>
-          gamma *= GammaDecay
-          steps += 1
+      solveGamma(tree, canon, colorIdx, kOf, kTotal, cfg, T).map { case (xhat, iters) =>
+        (round(pts, tree, canon, xhat, cfg.seed), iters)
       }
+    } match {
+      case Some(Sweep.Accepted((sel, iters), gamma, steps)) =>
+        Result(sel, gamma, Points.diversity(sel.toSeq), iters, steps)
+      case None => fallback(MaxGammaSteps) // sweep exhausted (numerically pathological input)
     }
-    // Sweep exhausted (numerically pathological input).
-    fallback(steps)
   }
 
   /** MWU solve of LP2 at the diversity γ whose canonical lists are `canon`.

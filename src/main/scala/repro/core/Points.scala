@@ -65,7 +65,7 @@ object Points {
 
   def dist(a: LabeledPoint, b: LabeledPoint): Double = dist(a.x, b.x)
 
-  /** Minimum pairwise distance of a set; +inf for sets of size < 2. */
+  /** Minimum pairwise distance of a set; 0 for a set of fewer than 2 points. */
   def diversity(s: Seq[LabeledPoint]): Double = {
     var best = Double.PositiveInfinity
     val arr = s.toArray
@@ -79,7 +79,7 @@ object Points {
       }
       i += 1
     }
-    math.sqrt(best)
+    if (arr.length < 2) 0.0 else math.sqrt(best)
   }
 
   /** Count of points per color. */
@@ -91,12 +91,6 @@ object Points {
     val counts = colorCounts(s)
     k.forall { case (c, kc) => counts.getOrElse(c, 0) >= kc }
   }
-
-  /** The first `k_j` points of each color of `k`, in input order: the fair,
-    * diversity-agnostic fallback of the offline baselines and SFDM-2.
-    */
-  def firstPerColor(pts: Array[LabeledPoint], k: Map[Int, Int]): Array[LabeledPoint] =
-    k.toSeq.flatMap { case (c, kc) => pts.filter(_.color == c).take(kc) }.toArray
 
   /** Per-color shortfall `max(0, k_j - |S(c_j)|)`; the quantity in Table 4. */
   def missedPerColor(s: Seq[LabeledPoint], k: Map[Int, Int]): Map[Int, Int] = {

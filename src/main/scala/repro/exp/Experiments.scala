@@ -112,8 +112,6 @@ object Experiments {
 
   private def millis(t: MFDSpark.Timed): Long = t.coresetMillis + t.mwuMillis
 
-  private def div0(d: Double): Double = if (d.isInfinity) 0.0 else d
-
   /** MFD via the Spark coreset pipeline: `reps` runs with distinct seeds,
     * averaged over those that met the deadline.
     */
@@ -123,7 +121,7 @@ object Experiments {
     if (runs.isEmpty) Run(s"MFD-$g", spec.name, kLabel, 0.0, DefaultDeadlineMs, dnf = true, 0.0)
     else {
       val ok = runs.length
-      val divSum = runs.map(t => div0(t.result.diversity)).sum
+      val divSum = runs.map(_.result.diversity).sum
       val missSum = runs.map(t => Points.missedPerColor(t.result.selected.toSeq, k).values.sum.toDouble).sum
       Run(s"MFD-$g", spec.name, kLabel, divSum / ok, runs.map(millis).sum / ok, dnf = false, missSum / ok)
     }
@@ -207,7 +205,7 @@ object Experiments {
         }
       }
       FairnessRow(spec.name, kTotal, g, missed.toMap, missed.values.sum,
-        runs.map(t => div0(t.result.diversity)).sum / reps, runs.map(millis).sum / reps)
+        runs.map(_.result.diversity).sum / reps, runs.map(millis).sum / reps)
     }
   }
 
@@ -235,7 +233,7 @@ object Experiments {
       val res = s.postProcess()
       val postMs = (System.nanoTime() - t1) / 1000000
       rows += StreamRow("StreamMFD", kTotal, updNs / 1000.0 / pts.length, postMs,
-        div0(res.diversity), s.storedCount)
+        res.diversity, s.storedCount)
     }
     // SFDM-2 at both epsilons (bounds assumed known pre-stream, as in [50]).
     for (eps <- Seq(0.15, 0.75)) {

@@ -1,6 +1,6 @@
 package repro.geo
 
-import repro.core.{LabeledPoint, Points}
+import repro.core.LabeledPoint
 import java.util.Arrays
 import scala.collection.mutable.ArrayBuffer
 
@@ -25,7 +25,6 @@ import scala.collection.mutable.ArrayBuffer
   * `B(q,(1+eps)r)`; leaves (single points) are returned iff within `r`.
   */
 final class KdTree private (
-    val points: Array[LabeledPoint],
     val left: Array[Int],
     val right: Array[Int],
     val parent: Array[Int],
@@ -37,9 +36,9 @@ final class KdTree private (
   def nodeCount: Int = left.length
   def root: Int = 0
   def isLeaf(u: Int): Boolean = leafPoint(u) >= 0
-  private val dim = points(0).x.length
+  private val dim = boxLo.length / nodeCount
   /** Median splits halve the points per level: a leaf is ⌈log2 n⌉ edges deep at most. */
-  private val height = 32 - Integer.numberOfLeadingZeros(points.length - 1)
+  private val height = 32 - Integer.numberOfLeadingZeros(leafOf.length - 1)
 
   /** Node ids from the leaf of point `i` up to (and including) the root. */
   def pathToRoot(i: Int): Array[Int] = {
@@ -111,14 +110,12 @@ final class KdTree private (
       top -= 1
       val u = stack(top)
       if (minDistSq(q, u) <= r2) {
-        val take =
-          if (isLeaf(u)) Points.distSq(points(leafPoint(u)).x, q) <= r2
-          else maxDistSq(q, u) <= r2eps
-        if (take) {
+        // A leaf's box is its point: minDistSq is its exact squared distance.
+        if (isLeaf(u) || maxDistSq(q, u) <= r2eps) {
           if (size == out.length) out = Arrays.copyOf(out, 2 * size)
           out(size) = u
           size += 1
-        } else if (!isLeaf(u)) {
+        } else {
           stack(top) = right(u)
           stack(top + 1) = left(u)
           top += 2
@@ -197,7 +194,7 @@ object KdTree {
     }
 
     buildRec(0, n, -1)
-    new KdTree(pts, left, right, parent, leafPoint, leafOf, boxLo, boxHi)
+    new KdTree(left, right, parent, leafPoint, leafOf, boxLo, boxHi)
   }
 
   /** In-place quickselect of `idx[lo,hi)` so position `mid` holds the median

@@ -39,16 +39,10 @@ object TestUtil {
     def combos(g: Array[LabeledPoint], kc: Int): Iterator[Seq[LabeledPoint]] =
       g.toSeq.combinations(kc)
 
-    var best = -1.0
+    var best = 0.0
     def rec(ci: Int, acc: List[LabeledPoint]): Unit = {
-      if (ci == byColor.length) {
-        val d = Points.diversity(acc)
-        val v = if (d.isInfinity) 0.0 else d
-        if (acc.size < 2) { if (best < 0) best = 0.0 }
-        else if (v > best) best = v
-      } else {
-        combos(byColor(ci), ks(ci)).foreach(c => rec(ci + 1, c.toList ::: acc))
-      }
+      if (ci == byColor.length) best = math.max(best, Points.diversity(acc))
+      else combos(byColor(ci), ks(ci)).foreach(c => rec(ci + 1, c.toList ::: acc))
     }
     rec(0, Nil)
     best

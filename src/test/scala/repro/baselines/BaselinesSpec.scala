@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.core.{Deadline, LabeledPoint, MFD, Points}
+import repro.core.{Coreset, Deadline, LabeledPoint, MFD, Points, Sweep}
 
 /** Contract tests shared by every baseline: fairness of the returned set,
   * membership in the input, no duplicates; plus per-algorithm guarantees
@@ -139,63 +139,37 @@ class BaselinesSpec extends AnyFunSuite {
     assert(Points.diversity(sel.toSeq) > 0)
   }
 
-  // ---- Sweep: the skeleton shared by FairFlow, FairGreedyFlow and FMMD-S.
+  test("a degenerate start sends FairFlow, FairGreedyFlow and FMMD-S to Sweep.fallback of the coreset") {
+    // One location (start d_G = 0), and Σk_j = 1 (the diversity of one center is 0).
+    val spread = TestUtil.randomPoints(50, 2, 2, 137L)
+    for ((pts, k) <- Seq((oneLocation, Map(0 -> 3, 1 -> 3)), (spread, Map(0 -> 1, 1 -> 0)))) {
+      val expected = Sweep.fallback(Coreset.local(pts, k.values.sum), k).map(_.id).toSeq
+      for ((name, algo) <- algos.take(3))
+        assert(algo(pts, k).map(_.id).toSeq == expected, s"$name on $k")
+    }
+  }
 
-  private val sweepCand = TestUtil.randomPoints(40, 2, 3, 131L)
-  private val sweepK = Map(0 -> 2, 1 -> 3, 2 -> 1)
+  // ---- GroupFlow: the max-flow step of FairFlow and FairGreedyFlow.
 
-  test("Sweep.onePerGroup picks k_j per color, at most one per group, none ungrouped") {
+  private val flowCand = TestUtil.randomPoints(40, 2, 3, 131L)
+  private val flowK = Map(0 -> 2, 1 -> 3, 2 -> 1)
+
+  test("GroupFlow.onePerGroup picks k_j per color, at most one per group, none ungrouped") {
     // Groups of four consecutive candidates; every fifth candidate is in none.
-    val group = sweepCand.indices.map(i => if (i % 5 == 4) -1 else i / 4).toArray
-    val sel = Sweep.onePerGroup(sweepCand, sweepK, group, 10).get
-    assert(Points.colorCounts(sel.toSeq) == sweepK)
-    val idx = sel.map(p => sweepCand.indexWhere(_.id == p.id))
+    val group = flowCand.indices.map(i => if (i % 5 == 4) -1 else i / 4).toArray
+    val sel = GroupFlow.onePerGroup(flowCand, flowK, group, 10).get
+    assert(Points.colorCounts(sel.toSeq) == flowK)
+    val idx = sel.map(p => flowCand.indexWhere(_.id == p.id))
     assert(idx.forall(group(_) >= 0))
     assert(idx.map(group).distinct.length == sel.length)
   }
 
-  test("Sweep.onePerGroup is None when a color reaches fewer groups than k_j") {
+  test("GroupFlow.onePerGroup is None when a color reaches fewer groups than k_j") {
     // Color 1 (k_j = 3) reaches only groups 0 and 1; the others reach all.
-    val group = sweepCand.indices.map(i => if (sweepCand(i).color == 1) i % 2 else i % 10).toArray
-    assert(Sweep.onePerGroup(sweepCand, sweepK, group, 10).isEmpty)
-    assert(Sweep.onePerGroup(sweepCand, sweepK + (1 -> 2), group, 10).nonEmpty)
+    val group = flowCand.indices.map(i => if (flowCand(i).color == 1) i % 2 else i % 10).toArray
+    assert(GroupFlow.onePerGroup(flowCand, flowK, group, 10).isEmpty)
+    assert(GroupFlow.onePerGroup(flowCand, flowK + (1 -> 2), group, 10).nonEmpty)
     // Fewer groups than Σk_j.
-    assert(Sweep.onePerGroup(sweepCand, sweepK, sweepCand.indices.map(_ % 5).toArray, 5).isEmpty)
-  }
-
-  test("Sweep.firstFeasible returns the first passing value of the geometric sequence") {
-    val tried = scala.collection.mutable.ArrayBuffer[Double]()
-    val marker = Array(sweepCand(0))
-    val sel = Sweep.firstFeasible(sweepCand, sweepK, 8.0, 0.5, 10, Deadline.None) { sep =>
-      tried += sep
-      if (sep < 1.5) Some(marker) else None
-    }
-    assert(sel eq marker)
-    assert(tried.toSeq == Seq(8.0, 4.0, 2.0, 1.0))
-  }
-
-  test("Sweep.firstFeasible falls back to firstPerColor on a bad start or an exhausted sweep") {
-    val fallback = Points.firstPerColor(sweepCand, sweepK).map(_.id).toSeq
-    assert(Points.colorCounts(Points.firstPerColor(sweepCand, sweepK).toSeq) == sweepK)
-    for (start <- Seq(0.0, -1.0, Double.NaN, Double.PositiveInfinity)) {
-      var calls = 0
-      val sel = Sweep.firstFeasible(sweepCand, sweepK, start, 0.85, 200, Deadline.None) { _ =>
-        calls += 1; Some(Array.empty[LabeledPoint])
-      }
-      assert(calls == 0, s"start $start")
-      assert(sel.map(_.id).toSeq == fallback, s"start $start")
-    }
-    var calls = 0
-    val sel = Sweep.firstFeasible(sweepCand, sweepK, 10.0, 0.85, 7, Deadline.None) { _ =>
-      calls += 1; None
-    }
-    assert(calls == 7)
-    assert(sel.map(_.id).toSeq == fallback)
-  }
-
-  test("Sweep.firstFeasible checks the deadline at every step") {
-    assertThrows[Deadline.Exceeded] {
-      Sweep.firstFeasible(sweepCand, sweepK, 10.0, 0.85, 200, System.nanoTime() - 1L)(_ => None)
-    }
+    assert(GroupFlow.onePerGroup(flowCand, flowK, flowCand.indices.map(_ % 5).toArray, 5).isEmpty)
   }
 }

@@ -179,6 +179,7 @@ class MFDSpec extends AnyFunSuite {
     assert(Points.isFair(res.selected.toSeq, k), s"counts ${Points.colorCounts(res.selected.toSeq)}")
     assert(res.gamma == 0.0)
     assert(res.gammaSteps == 120)
+    assert(res.selected.map(_.id).toSeq == Sweep.fallback(spread ++ pair, k).map(_.id).toSeq)
   }
 
   test("g controls the iteration budget") {
@@ -200,6 +201,17 @@ class MFDSpec extends AnyFunSuite {
     val res = MFD.run(pts, Map(0 -> 3, 1 -> 3))
     assert(Points.isFair(res.selected.toSeq, Map(0 -> 3, 1 -> 3)))
     assert(res.gamma == 0.0)
+  }
+
+  test("a single point to pick (Σk_j = 1) takes the fallback with gamma 0 and diversity 0") {
+    val pts = TestUtil.randomPoints(40, 2, 2, 29L)
+    for (k <- Seq(Map(0 -> 1), Map(0 -> 0, 1 -> 1))) {
+      val res = MFD.run(pts, k)
+      assert(res.selected.map(_.id).toSeq == Sweep.fallback(pts, k).map(_.id).toSeq, s"$k")
+      assert(res.selected.length == 1, s"$k")
+      assert(res.gamma == 0.0 && res.diversity == 0.0, s"$k")
+      assert(res.gammaSteps == 0 && res.mwuIterations == 0, s"$k")
+    }
   }
 
   test("a color absent from the input with k_j = 0 does not break the fallback") {

@@ -14,9 +14,9 @@ class PointsSpec extends SparkSpec {
     assert(Points.dist(a, b) == 5.0)
   }
 
-  test("diversity of fewer than 2 points is infinite") {
-    assert(Points.diversity(Seq.empty).isInfinity)
-    assert(Points.diversity(Seq(LabeledPoint(0, 0, Array(1.0)))).isInfinity)
+  test("diversity of fewer than 2 points is 0") {
+    assert(Points.diversity(Seq.empty) == 0.0)
+    assert(Points.diversity(Seq(LabeledPoint(0, 0, Array(1.0)))) == 0.0)
   }
 
   test("diversity matches explicit pairwise minimum") {
