@@ -8,8 +8,9 @@ import scala.jdk.CollectionConverters._
   *
   * ``assertEquivalent(sparkDf, sql, tables)`` runs ``sql`` on DuckDB
   * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
-  * match ``sparkDf``. This catches wrong results from a rewritten plan
-  * or a custom operator — "it ran" is not "it is correct".
+  * match ``sparkDf``. The tests use it to check the Spark side of the
+  * dataset statistics (row counts, coordinate ranges), the per-color
+  * histograms and the diversity of a result against an independent engine.
   *
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project

@@ -98,8 +98,7 @@ final class SFDM2(k: Map[Int, Int], eps: Double, dMin: Double, dMax: Double) {
         var i = 0
         while (count(c) < kc && i < pc.length) {
           val q = pc(i)
-          val farEnough = sel.forall(s => (s.id == q.id) || Points.distSq(s.x, q.x) >= muAug * muAug)
-          if (farEnough && !sel.exists(_.id == q.id)) { sel += q; count(c) += 1 }
+          if (!sel.exists(s => s.id == q.id || Points.distSq(s.x, q.x) < muAug * muAug)) { sel += q; count(c) += 1 }
           i += 1
         }
         if (count(c) < kc) ok = false

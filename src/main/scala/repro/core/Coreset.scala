@@ -29,21 +29,28 @@ object Coreset {
       cached(s)
     }
 
-    /** Per-color Gonzalez(k'): each color with its block and centers (block
-      * indices, in selection order), colors in `Array.groupBy`'s key order over
-      * the colors present: the order the baselines, QFairDiv and merge read.
+    /** Per-color Gonzalez: each color `c` with its block and its `kOf(c)`
+      * centers (block indices, in selection order), colors in
+      * `Array.groupBy`'s key order over the colors present: the order the
+      * baselines, QFairDiv and merge read.
       */
-    def centers(kPrime: Int): Iterator[(Int, Block, Array[Int])] =
+    def centers(kOf: Int => Int): Iterator[(Int, Block, Array[Int])] =
       blocks.keysIterator.map(_.toInt).toArray.groupBy(identity).keysIterator
-        .map(c => (c, blocks(c), Gonzalez.columns(blocks(c).cols, blocks(c).n, kPrime).centers))
+        .map(c => (c, blocks(c), Gonzalez.columns(blocks(c).cols, blocks(c).n, kOf(c)).centers))
   }
 
   /** Per-color Gonzalez(k') coreset. O(n k') time, O(n) space. */
-  def local(pts: Array[LabeledPoint], kPrime: Int): Array[LabeledPoint] = {
+  def local(pts: Array[LabeledPoint], kPrime: Int): Array[LabeledPoint] =
+    perColor(pts, _ => kPrime).flatMap(_._2)
+
+  /** The `kOf(c)` farthest-first points of each color `c` of `pts`, per
+    * color, in [[ByColor.centers]]' color order.
+    */
+  private[core] def perColor(pts: Array[LabeledPoint], kOf: Int => Int): Array[(Int, Array[LabeledPoint])] = {
     if (pts.isEmpty) return Array.empty
     val blocks = new ByColor(pts(0).x.length, math.min(pts.length, 1024))
     var i = 0
     while (i < pts.length) { blocks(pts(i).color).add(i, pts(i).x); i += 1 } // ids: indices into pts
-    blocks.centers(kPrime).flatMap { case (_, b, cs) => cs.iterator.map(c => pts(b.ids(c).toInt)) }.toArray
+    blocks.centers(kOf).map { case (c, b, cs) => c -> cs.map(j => pts(b.ids(j).toInt)) }.toArray
   }
 }

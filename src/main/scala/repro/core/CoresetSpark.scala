@@ -64,7 +64,7 @@ object CoresetSpark {
       while (j < d) { b.cols(j)(i) = x.getDouble(j); j += 1 }
     }
     if (blocks == null) Iterator.empty
-    else blocks.centers(kPrime).flatMap { case (c, b, cs) =>
+    else blocks.centers(_ => kPrime).flatMap { case (c, b, cs) =>
       cs.iterator.map(i => LabeledPoint(b.ids(i), c, Array.tabulate(d)(b.cols(_)(i))))
     }
   }

@@ -31,6 +31,8 @@ object Sweep {
   /** The fair, diversity-agnostic fallback: the `min(k_j, |P(c_j)|)`
     * farthest-first (Gonzalez) points of each color of `k`, in `k`'s order.
     */
-  def fallback(pts: Array[LabeledPoint], k: Map[Int, Int]): Array[LabeledPoint] =
-    k.toArray.flatMap { case (c, kc) => Gonzalez.centers(pts.filter(_.color == c), kc) }
+  def fallback(pts: Array[LabeledPoint], k: Map[Int, Int]): Array[LabeledPoint] = {
+    val byColor = Coreset.perColor(pts.filter(p => k.contains(p.color)), k).toMap
+    k.keysIterator.flatMap(c => byColor.getOrElse(c, Array.empty[LabeledPoint])).toArray
+  }
 }

@@ -100,15 +100,16 @@ object Datasets {
   }
 
   /** Proportional bounds `k_j = round(k·|P(c_j)|/n)` from the spec marginal,
-    * keeping every color ≥ 1 and the total = k.
+    * keeping every color ≥ 1 and the total = k; so k must be at least m.
     */
   def proportionalK(spec: Spec, k: Int): Map[Int, Int] = {
+    require(k >= spec.m, s"${spec.name}: k=$k < m=${spec.m} cannot give every color k_j >= 1")
     val raw = spec.colorProbs.map(p => math.max(1, math.round(p * k).toInt))
     var total = raw.sum
     // Trim or pad the largest classes until the total is exactly k.
     val idx = raw.indices.sortBy(-spec.colorProbs(_))
     var i = 0
-    while (total != k && i < 10000) {
+    while (total != k) {
       val j = idx(i % idx.length)
       if (total > k && raw(j) > 1) { raw(j) -= 1; total -= 1 }
       else if (total < k) { raw(j) += 1; total += 1 }

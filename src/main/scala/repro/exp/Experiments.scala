@@ -1,6 +1,6 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.sql.functions.{col, count, countDistinct, lit}
 import repro.baselines._
 import repro.core._
@@ -13,15 +13,21 @@ import repro.stream.StreamMFD
   * it as a markdown table (recorded in EXPERIMENTS.md) and returns the rows
   * for the bench suites' shape assertions.
   *
+  * Every cell runs one protocol: the dataset is generated once per JVM (one
+  * persisted Dataset for `MFDSpark.run`, the same points collected for the
+  * baselines), each run goes through one deadline wrapper, and a cell
+  * reports the mean over its finished runs.
+  *
   * Scaling knobs (paper → here):
   *  - data scale: per-dataset factor (small datasets kept at full n, the
   *    million-size ones at ×0.1 — DESIGN.md §4);
   *  - run cap: 120 s (paper: 30 min) — exceeded runs are reported "DNF";
-  *  - repetitions: MFD-family algorithms are randomized; reps configurable.
+  *  - repetitions: MFD is randomized, so an end-to-end cell averages 3 runs,
+  *    Table 4 5 and Fig. 3/4 3; a baseline runs once.
   */
 object Experiments {
 
-  val DefaultDeadlineMs: Long = sys.env.getOrElse("BENCH_DEADLINE_MS", "120000").toLong
+  private val DeadlineMs: Long = sys.env.getOrElse("BENCH_DEADLINE_MS", "120000").toLong
 
   /** Per-dataset scale: keep the small UCI sets at full size, scale the
     * million-size ones by BENCH_SCALE (default 0.1).
@@ -31,24 +37,20 @@ object Experiments {
     if (spec.nPaper <= 150000L) math.min(1.0, s * 10) else s
   }
 
-  /** Cached collected datasets (bench reuses across suites in one JVM). */
-  private val cache = scala.collection.mutable.Map[String, Array[LabeledPoint]]()
-  private val dsCache = scala.collection.mutable.Map[String, org.apache.spark.sql.Dataset[LabeledPoint]]()
-
-  def load(spark: SparkSession, spec: Datasets.Spec): Array[LabeledPoint] =
-    cache.getOrElseUpdate(spec.name, {
-      Datasets.points(spark, spec, benchScale(spec)).collect().sortBy(_.id)
-    })
-
-  /** The same data as a persisted distributed Dataset (for the Spark coreset
-    * pipeline) — generation is deterministic, so this matches [[load]].
+  /** A dataset at bench scale: the persisted Dataset `MFDSpark.run` reads,
+    * and the same points collected from it, sorted by id, for the baselines.
     */
-  def loadDS(spark: SparkSession, spec: Datasets.Spec): org.apache.spark.sql.Dataset[LabeledPoint] =
-    dsCache.getOrElseUpdate(spec.name, {
+  private final case class Data(ds: Dataset[LabeledPoint], pts: Array[LabeledPoint])
+
+  /** One generation per dataset, reused across suites in one JVM. */
+  private val cache = scala.collection.mutable.Map[String, Data]()
+
+  private def dataset(spark: SparkSession, spec: Datasets.Spec): Data =
+    cache.getOrElseUpdate(spec.name, {
       val ds = Datasets.points(spark, spec, benchScale(spec))
         .repartition(spark.sparkContext.defaultParallelism).persist()
-      ds.count() // materialise so MFD timings don't include generation
-      ds
+      // Collecting materialises the cache, so MFD timings exclude generation.
+      Data(ds, ds.collect().sortBy(_.id))
     })
 
   /** Table 3: `m` and `n` of a synthetic stand-in at bench scale, as counted
@@ -73,59 +75,41 @@ object Experiments {
     def timeStr: String = if (dnf) "DNF" else f"${millis / 1000.0}%.2f s"
   }
 
-  private def timed[A](body: => A): (Option[A], Long) = {
+  /** `body` under `deadline` (a [[Deadline]] instant): its result, None when
+    * the deadline passed (a DNF), and its wall time in ms.
+    */
+  private def timed[A](deadline: Long)(body: Long => A): (Option[A], Long) = {
     val t0 = System.nanoTime()
-    try {
-      val a = body
-      (Some(a), (System.nanoTime() - t0) / 1000000)
-    } catch {
-      case _: Deadline.Exceeded => (None, (System.nanoTime() - t0) / 1000000)
-    }
+    val res = try Some(body(deadline)) catch { case _: Deadline.Exceeded => None }
+    (res, (System.nanoTime() - t0) / 1000000)
   }
 
-  /** One baseline invocation with deadline + DNF accounting. */
-  private def runBaseline(name: String, dataset: String, k: Map[Int, Int], kLabel: Int,
-                          body: Long => Array[LabeledPoint]): Run = {
-    val deadline = Deadline.in(DefaultDeadlineMs)
-    val (res, ms) = timed(body(deadline))
-    res match {
-      case Some(sel) =>
-        Run(name, dataset, kLabel, Points.diversity(sel.toSeq), ms, dnf = false,
-          Points.missedPerColor(sel.toSeq, k).values.sum)
-      case None => Run(name, dataset, kLabel, 0.0, ms, dnf = true, 0.0)
-    }
+  private final case class Mean(diversity: Double, millis: Long, missed: Map[Int, Double]) {
+    def missedTotal: Double = missed.values.sum
   }
 
-  /** `reps` end-to-end runs of `MFDSpark.run` (ε = 0.3) on `spec`'s
-    * Dataset, run `r` with seed `seedStep·r`: the runs that met `deadline`.
-    * `paper` runs MFD's fixed `g·T` iterations (see `MFD.Config`).
+  /** The one average over a cell's finished runs, each a (selection, ms)
+    * pair: mean diversity, mean time and mean missed points per color of `k`.
     */
-  private def mfdRuns(spark: SparkSession, spec: Datasets.Spec, k: Map[Int, Int], g: Double,
-                      reps: Int, seedStep: Long, deadline: Long, paper: Boolean): Seq[MFDSpark.Timed] = {
-    val ds = loadDS(spark, spec)
+  private def mean(runs: Seq[(Array[LabeledPoint], Long)], k: Map[Int, Int]): Mean = {
+    val missed = runs.map { case (sel, _) => Points.missedPerColor(sel.toSeq, k) }
+    Mean(runs.map { case (sel, _) => Points.diversity(sel.toSeq) }.sum / runs.length,
+      runs.map(_._2).sum / runs.length,
+      k.keys.map(c => c -> missed.map(_(c)).sum.toDouble / runs.length).toMap)
+  }
+
+  /** `reps` end-to-end runs of `MFDSpark.run` (ε = 0.3) on `ds`, run `r`
+    * with seed `seedStep·r`, all under one `deadline`: the selection and
+    * the coreset + MWU time of each run that finished. `paper` runs MFD's
+    * fixed `g·T` iterations (see `MFD.Config`).
+    */
+  private def mfdRuns(ds: Dataset[LabeledPoint], k: Map[Int, Int], g: Double, reps: Int,
+                      seedStep: Long, deadline: Long, paper: Boolean): Seq[(Array[LabeledPoint], Long)] =
     (1 to reps).flatMap { rep =>
-      val cfg = MFD.Config(eps = 0.3, g = g, seed = seedStep * rep, deadlineNanos = deadline, paper = paper)
-      try Some(MFDSpark.run(ds, k, cfg))
-      catch { case _: Deadline.Exceeded => None }
+      timed(deadline) { d =>
+        MFDSpark.run(ds, k, MFD.Config(eps = 0.3, g = g, seed = seedStep * rep, deadlineNanos = d, paper = paper))
+      }._1.map(t => (t.result.selected, t.coresetMillis + t.mwuMillis))
     }
-  }
-
-  private def millis(t: MFDSpark.Timed): Long = t.coresetMillis + t.mwuMillis
-
-  /** MFD via the Spark coreset pipeline: `reps` runs with distinct seeds,
-    * averaged over those that met the deadline.
-    */
-  def runMFD(spark: SparkSession, spec: Datasets.Spec, k: Map[Int, Int], kLabel: Int,
-             g: Double, reps: Int): Run = {
-    val runs = mfdRuns(spark, spec, k, g, reps, 1000L, Deadline.in(DefaultDeadlineMs), paper = false)
-    if (runs.isEmpty) Run(s"MFD-$g", spec.name, kLabel, 0.0, DefaultDeadlineMs, dnf = true, 0.0)
-    else {
-      val ok = runs.length
-      val divSum = runs.map(_.result.diversity).sum
-      val missSum = runs.map(t => Points.missedPerColor(t.result.selected.toSeq, k).values.sum.toDouble).sum
-      Run(s"MFD-$g", spec.name, kLabel, divSum / ok, runs.map(millis).sum / ok, dnf = false, missSum / ok)
-    }
-  }
 
   /** The (dataset, k) cells of Fig. 5/6 (equal k_j) or Fig. 7/8
     * (proportional). The paper finds the proportional case identical in
@@ -137,26 +121,35 @@ object Experiments {
               k <- Seq(20, 60, 100)) yield (spec, k)
 
   /** The paper's Fig. 5/6 (equal k_j) / Fig. 7/8 (proportional) comparison
-    * on one dataset and one k: every algorithm, diversity + runtime.
+    * on one dataset and one k: MFD-0.3 (3 runs, one deadline for the three)
+    * and every baseline (one run, its own deadline), diversity + runtime.
     */
-  def endToEnd(spark: SparkSession, spec: Datasets.Spec, kTotal: Int,
-               proportional: Boolean, mfdReps: Int = 3): Seq[Run] = {
-    val pts = load(spark, spec)
+  def endToEnd(spark: SparkSession, spec: Datasets.Spec, kTotal: Int, proportional: Boolean): Seq[Run] = {
+    val data = dataset(spark, spec)
+    val pts = data.pts
     val kRaw = if (proportional) Datasets.proportionalK(spec, kTotal) else Datasets.equalK(spec.m, kTotal)
     val k = MFD.attainable(pts, kRaw)
-    val rows = scala.collection.mutable.ArrayBuffer[Run]()
-    rows += runMFD(spark, spec, k, kTotal, g = 0.3, reps = mfdReps)
-    rows += runBaseline("FairFlow", spec.name, k, kTotal, d => FairFlow.select(pts, k, d))
-    rows += runBaseline("FairGreedyFlow", spec.name, k, kTotal, d => FairGreedyFlow.select(pts, k, d))
-    rows += runBaseline("FMMD-S", spec.name, k, kTotal, d => FMMDS.select(pts, k, deadlineNanos = d))
-    rows += runBaseline("SFDM-2(e=.15)", spec.name, k, kTotal, d => SFDM2.select(pts, k, 0.15, d))
-    rows += runBaseline("SFDM-2(e=.75)", spec.name, k, kTotal, d => SFDM2.select(pts, k, 0.75, d))
-    rows += runBaseline("Random", spec.name, k, kTotal, _ => RandomSelect.select(pts, k))
+    // A row is the mean of its finished runs, or DNF when none finished.
+    def row(algo: String, runs: Seq[(Array[LabeledPoint], Long)]): Run =
+      if (runs.isEmpty) Run(algo, spec.name, kTotal, 0.0, DeadlineMs, dnf = true, 0.0)
+      else { val a = mean(runs, k); Run(algo, spec.name, kTotal, a.diversity, a.millis, dnf = false, a.missedTotal) }
+    def baseline(algo: String)(select: Long => Array[LabeledPoint]): Run = {
+      val (sel, ms) = timed(Deadline.in(DeadlineMs))(select)
+      row(algo, sel.map(_ -> ms).toSeq)
+    }
+    val rows = Seq(
+      row("MFD-0.3", mfdRuns(data.ds, k, 0.3, 3, 1000L, Deadline.in(DeadlineMs), paper = false)),
+      baseline("FairFlow")(FairFlow.select(pts, k, _)),
+      baseline("FairGreedyFlow")(FairGreedyFlow.select(pts, k, _)),
+      baseline("FMMD-S")(d => FMMDS.select(pts, k, deadlineNanos = d)),
+      baseline("SFDM-2(e=.15)")(SFDM2.select(pts, k, 0.15, _)),
+      baseline("SFDM-2(e=.75)")(SFDM2.select(pts, k, 0.75, _)),
+      baseline("Random")(_ => RandomSelect.select(pts, k)))
     val (fig, kind) = if (proportional) ("7/8", "proportional") else ("5/6", "equal")
     printTable(s"Fig $fig (${spec.name}, k=$kTotal, $kind): diversity & runtime",
       Seq("Algorithm", "diversity", "time", "missed"),
-      rows.toSeq.map(r => Seq(r.algo, r.divStr, r.timeStr, f"${r.missedTotal}%.1f")))
-    rows.toSeq
+      rows.map(r => Seq(r.algo, r.divStr, r.timeStr, f"${r.missedTotal}%.1f")))
+    rows
   }
 
   /** Table 4: average missed points per color for MFD-g, plus Fig. 3/4 rows
@@ -192,20 +185,14 @@ object Experiments {
     rows
   }
 
+  /** Paper-mode MFD on every (k, g) cell, `reps` runs without a deadline. */
   private def fairnessSweep(spark: SparkSession, spec: Datasets.Spec, ks: Seq[Int],
                             gs: Seq[Double], reps: Int): Seq[FairnessRow] = {
-    val pts = load(spark, spec)
+    val data = dataset(spark, spec)
     for (kTotal <- ks; g <- gs) yield {
-      val k = MFD.attainable(pts, Datasets.equalK(spec.m, kTotal))
-      val runs = mfdRuns(spark, spec, k, g, reps, 777L, Deadline.None, paper = true)
-      val missed = scala.collection.mutable.Map[Int, Double]().withDefaultValue(0.0)
-      runs.foreach { t =>
-        Points.missedPerColor(t.result.selected.toSeq, k).foreach { case (c, miss) =>
-          missed(c) += miss.toDouble / reps
-        }
-      }
-      FairnessRow(spec.name, kTotal, g, missed.toMap, missed.values.sum,
-        runs.map(_.result.diversity).sum / reps, runs.map(millis).sum / reps)
+      val k = MFD.attainable(data.pts, Datasets.equalK(spec.m, kTotal))
+      val a = mean(mfdRuns(data.ds, k, g, reps, 777L, Deadline.None, paper = true), k)
+      FairnessRow(spec.name, kTotal, g, a.missed, a.missedTotal, a.diversity, a.millis)
     }
   }
 
@@ -218,40 +205,30 @@ object Experiments {
   val StreamKs: Seq[Int] = Seq(10, 20, 50)
 
   def streaming(spark: SparkSession, kTotal: Int): Seq[StreamRow] = {
-    val spec = Datasets.beer
-    val pts = load(spark, spec)
-    val k = MFD.attainable(pts, Datasets.equalK(spec.m, kTotal))
-    val rows = scala.collection.mutable.ArrayBuffer[StreamRow]()
-
-    // StreamMFD.
-    {
-      val s = new StreamMFD(k, MFD.Config(eps = 0.5, g = 0.3))
+    val pts = dataset(spark, Datasets.beer).pts
+    val k = MFD.attainable(pts, Datasets.equalK(Datasets.beer.m, kTotal))
+    // Streams every point through `insert`, then post-processes.
+    def stream(algo: String, insert: LabeledPoint => Unit, stored: => Int)(post: => Array[LabeledPoint]): StreamRow = {
       val t0 = System.nanoTime()
-      pts.foreach(s.insert)
-      val updNs = System.nanoTime() - t0
+      pts.foreach(insert)
       val t1 = System.nanoTime()
-      val res = s.postProcess()
-      val postMs = (System.nanoTime() - t1) / 1000000
-      rows += StreamRow("StreamMFD", kTotal, updNs / 1000.0 / pts.length, postMs,
-        res.diversity, s.storedCount)
+      val sel = post
+      val t2 = System.nanoTime()
+      StreamRow(algo, kTotal, (t1 - t0) / 1000.0 / pts.length, (t2 - t1) / 1000000,
+        Points.diversity(sel.toSeq), stored)
     }
+    val mfd = new StreamMFD(k, MFD.Config(eps = 0.5, g = 0.3))
     // SFDM-2 at both epsilons (bounds assumed known pre-stream, as in [50]).
-    for (eps <- Seq(0.15, 0.75)) {
-      val algo = SFDM2.create(pts, k, eps)
-      val t0 = System.nanoTime()
-      pts.foreach(algo.insert)
-      val updNs = System.nanoTime() - t0
-      val t1 = System.nanoTime()
-      val sel = algo.postProcess()
-      val postMs = (System.nanoTime() - t1) / 1000000
-      rows += StreamRow(s"SFDM-2(e=$eps)", kTotal, updNs / 1000.0 / pts.length, postMs,
-        Points.diversity(sel.toSeq), algo.storedCount)
-    }
+    val rows = stream("StreamMFD", mfd.insert, mfd.storedCount)(mfd.postProcess().selected) +:
+      Seq(0.15, 0.75).map { eps =>
+        val s = SFDM2.create(pts, k, eps)
+        stream(s"SFDM-2(e=$eps)", s.insert, s.storedCount)(s.postProcess())
+      }
     printTable(s"Fig 10 (Beer, k=$kTotal): update / post-process / diversity",
       Seq("Algorithm", "update (us/item)", "post (ms)", "diversity", "stored"),
-      rows.toSeq.map(r => Seq(r.algo, f"${r.updateMicros}%.2f", r.postMillis.toString,
+      rows.map(r => Seq(r.algo, f"${r.updateMicros}%.2f", r.postMillis.toString,
         f"${r.diversity}%.3f", r.stored.toString)))
-    rows.toSeq
+    rows
   }
 
   /** Markdown-ish table printer used by every experiment. */

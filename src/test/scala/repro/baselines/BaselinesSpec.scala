@@ -123,6 +123,21 @@ class BaselinesSpec extends AnyFunSuite {
     assert(algo.storedCount <= algo.levelCount * (k.size + 1) * kTotal)
   }
 
+  test("SFDM-2 returns Sweep.fallback of the mu = 0 level when a color is scarcer than k_j") {
+    // Color 1 holds 2 points against k_1 = 4, so no level is fair.
+    val pts = TestUtil.randomPoints(40, 2, 1, 19L) ++
+      Array(LabeledPoint(100L, 1, Array(3.0, 3.0)), LabeledPoint(101L, 1, Array(60.0, 60.0)))
+    val k = Map(0 -> 4, 1 -> 4)
+    // The mu = 0 level keeps the first Σk_j = 8 points of each color.
+    val expected = Sweep.fallback(pts.filter(_.color == 0).take(8) ++ pts.filter(_.color == 1), k).map(_.id).toSeq
+    for (eps <- Seq(0.15, 0.75)) {
+      val sel = SFDM2.select(pts, k, eps)
+      assert(Points.colorCounts(sel.toSeq) == Map(0 -> 4, 1 -> 2), s"eps=$eps")
+      assert(sel.map(_.id).distinct.length == sel.length, s"eps=$eps")
+      assert(sel.map(_.id).toSeq == expected, s"eps=$eps")
+    }
+  }
+
   test("baseline deadline aborts") {
     val pts = TestUtil.clusteredPoints(20000, 4, 4, 10, 113L)
     val k = (0 until 4).map(_ -> 15).toMap

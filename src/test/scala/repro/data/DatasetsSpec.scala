@@ -95,6 +95,9 @@ class DatasetsSpec extends SparkSpec {
       val largest = spec.colorProbs.zipWithIndex.maxBy(_._1)._2
       assert(kj(largest) == kj.values.max)
     }
+    // k < m: some color would get k_j = 0.
+    for (spec <- Datasets.all)
+      assertThrows[IllegalArgumentException](Datasets.proportionalK(spec, spec.m - 1))
   }
 
   test("clusters produce non-trivial spatial spread") {
