@@ -2,7 +2,7 @@ package repro.data
 
 import org.apache.spark.sql.{Column, DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.{LabeledPoint, Points}
+import repro.core.LabeledPoint
 
 /** Synthetic stand-ins for the paper's six evaluation datasets (Table 3).
   *
@@ -85,9 +85,20 @@ object Datasets {
     withColor.select((col("id") +: col("color") +: coords): _*)
   }
 
-  /** Typed dataset of points. */
+  /** Flat DataFrame (id, color, x0..x{d-1}) → typed Dataset of points. */
+  def fromFlatDF(df: DataFrame): Dataset[LabeledPoint] = {
+    val spark = df.sparkSession
+    import spark.implicits._
+    val d = df.columns.count(_.startsWith("x"))
+    val cols = (0 until d).map(i => col(s"x$i").cast("double"))
+    df.select(col("id").cast("long"), col("color").cast("int"), array(cols: _*).as("x"))
+      .as[(Long, Int, Seq[Double])]
+      .map { case (id, c, x) => LabeledPoint(id, c, x.toArray) }
+  }
+
+  /** Typed dataset of points: [[generate]] through [[fromFlatDF]]. */
   def points(spark: SparkSession, spec: Spec, scale: Double): Dataset[LabeledPoint] =
-    Points.fromFlatDF(generate(spark, spec, scale))
+    fromFlatDF(generate(spark, spec, scale))
 
   /** Equal per-color bounds `k_j = ⌈k/m⌉·…` — the paper's "equal" setting
     * uses k_j = k/m; we distribute the remainder over the first colors so

@@ -1,8 +1,9 @@
 package repro
 
 import java.sql.DriverManager
-import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.functions._
+import repro.core.LabeledPoint
 
 /** DuckDB correctness oracle.
   *
@@ -14,7 +15,8 @@ import scala.jdk.CollectionConverters._
   *
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
-  * to scalar columns — array/map/struct are not comparable here.
+  * to scalar columns — array/map/struct are not comparable here, so point
+  * sets go in as flat frames, one column per coordinate (``x0..x{d-1}``).
   */
 object Oracle {
 
@@ -74,5 +76,40 @@ object Oracle {
         s"  first duck-only:  ${exp.diff(got).take(3)}"
       )
     } finally conn.close()
+  }
+
+  /** Points → flat DataFrame with columns (id, color, x0..x{d-1}). */
+  def toFlatDF(spark: SparkSession, pts: Seq[LabeledPoint]): DataFrame = {
+    require(pts.nonEmpty, "empty point set")
+    val d = pts.head.x.length
+    import spark.implicits._
+    val rows = pts.map(p => (p.id, p.color, p.x.toSeq))
+    val df = rows.toDF("id", "color", "x")
+    val coordCols = (0 until d).map(i => element_at($"x", i + 1).as(s"x$i"))
+    df.select(($"id" +: $"color" +: coordCols): _*)
+  }
+
+  /** Spark-SQL diversity of a (small) flat result DataFrame: min pairwise
+    * distance via a self cross-join, for [[assertEquivalent]] against
+    * [[diversitySql]].
+    */
+  def diversityDF(df: DataFrame): DataFrame = {
+    val d = df.columns.count(_.startsWith("x"))
+    val a = df.alias("a")
+    val b = df.alias("b")
+    val sumSq = (0 until d)
+      .map(i => (col(s"a.x$i") - col(s"b.x$i")) * (col(s"a.x$i") - col(s"b.x$i")))
+      .reduce(_ + _)
+    a.join(b, col("a.id") < col("b.id"))
+      .select(sqrt(sumSq).as("dist"))
+      .agg(min(col("dist")).as("diversity"))
+  }
+
+  /** The DuckDB-side SQL equivalent of [[diversityDF]] over table `t`. */
+  def diversitySql(t: String, d: Int): String = {
+    val sumSq = (0 until d)
+      .map(i => s"(CAST(a.x$i AS DOUBLE) - CAST(b.x$i AS DOUBLE)) * (CAST(a.x$i AS DOUBLE) - CAST(b.x$i AS DOUBLE))")
+      .mkString(" + ")
+    s"SELECT min(sqrt($sumSq)) AS diversity FROM $t a, $t b WHERE CAST(a.id AS BIGINT) < CAST(b.id AS BIGINT)"
   }
 }

@@ -44,7 +44,7 @@ class BaselinesSpec extends AnyFunSuite {
   for ((name, algo) <- algos; (label, pts, k) <- fairInputs) {
     test(s"$name returns a fair, duplicate-free subset $label") {
       val sel = algo(pts, k)
-      assert(Points.isFair(sel.toSeq, k), s"$name unfair: ${Points.colorCounts(sel.toSeq)} vs $k")
+      assert(Points.missedPerColor(sel.toSeq, k).values.forall(_ == 0), s"$name unfair: ${Points.colorCounts(sel.toSeq)} vs $k")
       val ids = pts.map(_.id).toSet
       sel.foreach(p => assert(ids.contains(p.id)))
       assert(sel.map(_.id).distinct.length == sel.length)

@@ -204,13 +204,13 @@ class CoresetSpec extends SparkSpec {
     val spec = Datasets.adult
     val df = Datasets.generate(spark, spec, 0.01)
     // At this tiny scale a rare color may be absent — clip k to what exists.
-    val k = MFD.attainable(Points.fromFlatDF(df).collect(), Datasets.equalK(spec.m, 10))
-    val timed = MFDSpark.run(Points.fromFlatDF(df), k, MFD.Config(eps = 0.5, g = 0.3))
-    val sel = Points.toFlatDF(spark, timed.result.selected.toSeq)
+    val k = MFD.attainable(Datasets.fromFlatDF(df).collect(), Datasets.equalK(spec.m, 10))
+    val timed = MFDSpark.run(Datasets.fromFlatDF(df), k, MFD.Config(eps = 0.5, g = 0.3))
+    val sel = Oracle.toFlatDF(spark, timed.result.selected.toSeq)
     assert(sel.count() >= 2)
     Oracle.assertEquivalent(
-      Points.diversityDF(sel),
-      Points.diversitySql("sel", spec.d),
+      Oracle.diversityDF(sel),
+      Oracle.diversitySql("sel", spec.d),
       "sel" -> sel)
   }
 }

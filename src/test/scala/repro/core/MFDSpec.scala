@@ -162,7 +162,7 @@ class MFDSpec extends AnyFunSuite {
     val res = MFD.run(pts, k, MFD.Config(eps = eps, g = 1.0, seed = 1))
     assert(res.gammaSteps >= 1, s"gammaSteps=${res.gammaSteps}")
     assert(Points.diversity(res.selected.toSeq) >= res.gamma / (2 * (1 + eps)) - 1e-9)
-    assert(Points.isFair(res.selected.toSeq, k), s"counts ${Points.colorCounts(res.selected.toSeq)}")
+    assert(Points.missedPerColor(res.selected.toSeq, k).values.forall(_ == 0), s"counts ${Points.colorCounts(res.selected.toSeq)}")
   }
 
   test("an exhausted sweep falls back to a fair set at gamma 0 and reports its steps") {
@@ -176,7 +176,7 @@ class MFDSpec extends AnyFunSuite {
     val res = MFD.run(spread ++ pair, k, MFD.Config(eps = eps, g = 1.0, seed = 1))
     assert(Points.diversity(res.selected.toSeq) >= res.gamma / (2 * (1 + eps)),
       s"div ${res.diversity} < gamma ${res.gamma} / (2(1+eps))")
-    assert(Points.isFair(res.selected.toSeq, k), s"counts ${Points.colorCounts(res.selected.toSeq)}")
+    assert(Points.missedPerColor(res.selected.toSeq, k).values.forall(_ == 0), s"counts ${Points.colorCounts(res.selected.toSeq)}")
     assert(res.gamma == 0.0)
     assert(res.gammaSteps == 120)
     assert(res.selected.map(_.id).toSeq == Sweep.fallback(spread ++ pair, k).map(_.id).toSeq)
@@ -199,7 +199,7 @@ class MFDSpec extends AnyFunSuite {
   test("duplicate-heavy degenerate input returns a fair set") {
     val pts = Array.tabulate(20)(i => LabeledPoint(i.toLong, i % 2, Array(1.0, 1.0)))
     val res = MFD.run(pts, Map(0 -> 3, 1 -> 3))
-    assert(Points.isFair(res.selected.toSeq, Map(0 -> 3, 1 -> 3)))
+    assert(Points.missedPerColor(res.selected.toSeq, Map(0 -> 3, 1 -> 3)).values.forall(_ == 0))
     assert(res.gamma == 0.0)
   }
 
