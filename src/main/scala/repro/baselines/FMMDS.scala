@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Coreset, Deadline, Gonzalez, LabeledPoint, Sweep}
+import repro.core.{Coreset, Deadline, Gonzalez, Instance, LabeledPoint, Sweep}
 import repro.ilp.ColorILP
 
 /** FMMD-S baseline (Wang, Mathioudakis, Li, Fabbri, SDM 2023 [52]) —
@@ -23,13 +23,13 @@ object FMMDS {
 
   def select(pts: Array[LabeledPoint], k: Map[Int, Int],
              deadlineNanos: Long = Deadline.None): Array[LabeledPoint] = {
-    val kTotal = k.values.sum
-    val cand = Coreset.local(pts, kTotal)
-    val delta = Gonzalez.diversityUpperBound(cand, kTotal)
+    val kTotal = new Instance(pts, k).kTotal
+    val cand = new Instance(Coreset.local(pts, kTotal), k)
+    val delta = Gonzalez.diversityUpperBound(cand.pts, kTotal)
     Sweep.geometric(delta, 1.0 - Eps, 400, deadlineNanos)(d =>
-      ColorILP.solve(cand, k, d) match {
-        case ColorILP.Feasible(sel) => Some(sel.map(cand))
+      ColorILP.solve(cand, d) match {
+        case ColorILP.Feasible(sel) => Some(sel.map(cand.pts))
         case _ => None
-      }).fold(Sweep.fallback(cand, k))(_.result)
+      }).fold(Sweep.fallback(cand))(_.result)
   }
 }

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Coreset, Deadline, Gonzalez, LabeledPoint, Points, Sweep}
+import repro.core.{Coreset, Deadline, Gonzalez, Instance, LabeledPoint, Points, Sweep}
 
 /** FairFlow baseline (Moumoulidou, McGregor, Meliou, ICDT 2021 [41]) —
   * `1/(3m-1)`-approximation, the "fast but low diversity" end of the
@@ -22,7 +22,7 @@ object FairFlow {
 
   def select(pts: Array[LabeledPoint], k: Map[Int, Int],
              deadlineNanos: Long = Deadline.None): Array[LabeledPoint] = {
-    val kTotal = k.values.sum
+    val kTotal = new Instance(pts, k).kTotal
     val cand = Coreset.local(pts, kTotal)
     val d = Gonzalez.diversityUpperBound(pts, kTotal)
     Sweep.geometric(d / (3.0 * k.size - 1.0), 0.85, 200, deadlineNanos)(sep => trySeparation(cand, k, sep))

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Coreset, Deadline, Gonzalez, LabeledPoint, Points, Sweep}
+import repro.core.{Coreset, Deadline, Gonzalez, Instance, LabeledPoint, Points, Sweep}
 
 /** FairGreedyFlow baseline (Addanki, McGregor, Meliou, Moumoulidou,
   * ICDT 2022 [7]) — `1/((m+1)(1+ε))`-approximation via a γ sweep with a
@@ -18,7 +18,7 @@ object FairGreedyFlow {
 
   def select(pts: Array[LabeledPoint], k: Map[Int, Int],
              deadlineNanos: Long = Deadline.None): Array[LabeledPoint] = {
-    val kTotal = k.values.sum
+    val kTotal = new Instance(pts, k).kTotal
     val cand = Coreset.local(pts, kTotal)
     val gamma = Gonzalez.diversityUpperBound(cand, kTotal)
     Sweep.geometric(gamma, 0.85, 200, deadlineNanos)(g => tryGamma(cand, k, kTotal, k.size, g))

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.LabeledPoint
+import repro.core.{Instance, LabeledPoint}
 
 /** Random selection — the "highly efficient, very poor diversity" extreme
   * discussed in §6.2: k_j points sampled uniformly per color.
@@ -8,9 +8,8 @@ import repro.core.LabeledPoint
 object RandomSelect {
 
   def select(pts: Array[LabeledPoint], k: Map[Int, Int], seed: Long = 7L): Array[LabeledPoint] = {
+    val in = new Instance(pts, k)
     val rnd = new scala.util.Random(seed)
-    k.toSeq.sortBy(_._1).flatMap { case (c, kc) =>
-      rnd.shuffle(pts.filter(_.color == c).toSeq).take(kc)
-    }.toArray
+    in.colors.indices.sortBy(in.colors).flatMap(j => rnd.shuffle(in.colorIdx(j).toSeq).take(in.kOf(j)).map(pts)).toArray
   }
 }

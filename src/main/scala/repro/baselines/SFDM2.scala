@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Coreset, Deadline, Gonzalez, LabeledPoint, Points, Sweep}
+import repro.core.{Coreset, Deadline, Gonzalez, Instance, LabeledPoint, Points, Sweep}
 import scala.collection.mutable.ArrayBuffer
 
 /** SFDM-2 baseline (Wang, Fabbri, Mathioudakis, ICDE 2022 [50]) — the
@@ -23,7 +23,7 @@ import scala.collection.mutable.ArrayBuffer
   * non-zero pairwise distance of the m·k coreset.
   */
 final class SFDM2(k: Map[Int, Int], eps: Double, dMin: Double, dMax: Double) {
-  private val kTotal = k.values.sum
+  private val kTotal = Instance.checkK(k)
 
   /** One μ level: global and per-color greedy cores. */
   private final class Level(val mu: Double) {
@@ -55,9 +55,6 @@ final class SFDM2(k: Map[Int, Int], eps: Double, dMin: Double, dMax: Double) {
     while (mu <= dMax * (1 + eps) && i < 400) { buf += new Level(mu); mu *= (1 + eps); i += 1 }
     buf.toArray
   }
-
-  /** Number of μ levels in the geometric guess grid. */
-  def levelCount: Int = levels.length
 
   /** Total stored points across all levels (the paper's memory metric). */
   def storedCount: Int =
@@ -133,7 +130,7 @@ object SFDM2 {
 
   /** Build an SFDM-2 instance with bounds estimated per footnote 5. */
   def create(pts: Array[LabeledPoint], k: Map[Int, Int], eps: Double): SFDM2 = {
-    val kTotal = k.values.sum
+    val kTotal = new Instance(pts, k).kTotal
     val coreset = Coreset.local(pts, kTotal)
     val dMax = Gonzalez.diversityUpperBound(pts, kTotal)
     var dMin = Double.PositiveInfinity

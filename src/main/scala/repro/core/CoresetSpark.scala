@@ -29,7 +29,10 @@ import org.apache.spark.sql.functions.col
 object CoresetSpark {
 
   /** Distributed two-round per-color coreset of `ds`: `min(kPrime, |P(c)|)`
-    * centers of every color `c`, in ascending color order.
+    * centers of every color `c`, in ascending color order. A row whose
+    * dimension differs from its partition's first row fails its task; the
+    * collected partial centers then pass [[Instance.checkPoints]]. Each
+    * failure is an `IllegalArgumentException` naming the point ids.
     */
   def distributed(ds: Dataset[LabeledPoint], kPrime: Int): Array[LabeledPoint] = {
     val sc = ds.sparkSession.sparkContext
@@ -42,6 +45,7 @@ object CoresetSpark {
     val partial =
       try rows.mapPartitions(it => partitionCoreset(it, kPrime)).collect()
       finally sc.setJobDescription(prev)
+    Instance.checkPoints(partial)
     Coreset.local(partial, kPrime).sortBy(_.color)
   }
 
@@ -52,19 +56,21 @@ object CoresetSpark {
   private def partitionCoreset(it: Iterator[InternalRow], kPrime: Int): Iterator[LabeledPoint] = {
     var blocks: Coreset.ByColor = null
     var d = -1
+    var firstId = 0L
     while (it.hasNext) {
       val r = it.next()
       val x = r.getArray(2)
-      if (d < 0) { d = x.numElements(); blocks = new Coreset.ByColor(d, 1024) }
+      if (d < 0) { d = x.numElements(); firstId = r.getLong(0); blocks = new Coreset.ByColor(d, 1024) }
       if (x.numElements() != d) // not `require`: its message closure would keep `x` from being scalar-replaced
-        throw new IllegalArgumentException(s"point ${r.getLong(0)} has ${x.numElements()} coordinates, expected $d")
+        throw new IllegalArgumentException(
+          s"point ${r.getLong(0)} has ${x.numElements()} coordinates, point $firstId has $d")
       val b = blocks(r.getInt(1))
       val i = b.add(r.getLong(0))
       var j = 0
       while (j < d) { b.cols(j)(i) = x.getDouble(j); j += 1 }
     }
     if (blocks == null) Iterator.empty
-    else blocks.centers(_ => kPrime).flatMap { case (c, b, cs) =>
+    else blocks.centers(kPrime).flatMap { case (c, b, cs) =>
       cs.iterator.map(i => LabeledPoint(b.ids(i), c, Array.tabulate(d)(b.cols(_)(i))))
     }
   }

@@ -83,28 +83,25 @@ object MFD {
   }
 
   /** Validate, sweep γ down from the colorblind Gonzalez diversity, and
-    * round the MWU solution of the first feasible γ.
+    * round the MWU solution of the first feasible γ. Rejects, with an
+    * `IllegalArgumentException` naming the color or the point id, what
+    * [[Instance]] rejects and a color of `k` with fewer than `k_j` points.
     */
   def run(pts: Array[LabeledPoint], k: Map[Int, Int], cfg: Config = Config()): Result = {
-    // Per constrained color: its points as indices into pts, and its k_j.
-    val colors = k.keys.toArray
-    val colorIdx: Array[Array[Int]] = colors.map(c => pts.indices.filter(pts(_).color == c).toArray)
-    val kOf: Array[Int] = colors.map(k)
-    colors.indices.foreach { j =>
-      require(colorIdx(j).length >= kOf(j),
-        s"infeasible input: color ${colors(j)} has ${colorIdx(j).length} < k_j=${kOf(j)} points")
+    val in = new Instance(pts, k)
+    in.colors.indices.foreach { j =>
+      require(in.colorIdx(j).length >= in.kOf(j),
+        s"infeasible input: color ${in.colors(j)} has ${in.colorIdx(j).length} < k_j=${in.kOf(j)} points")
     }
-    val kTotal = kOf.sum
-    require(kTotal >= 1, "k must be >= 1")
 
     // Fair but diversity-agnostic pick. γ = 0 keeps the contract
     // div ≥ γ/(2(1+ε)) whatever the pick's diversity.
     def fallback(steps: Int): Result = {
-      val sel = Sweep.fallback(pts, k)
+      val sel = Sweep.fallback(in)
       Result(sel, 0.0, Points.diversity(sel.toSeq), 0, steps)
     }
 
-    val start = Gonzalez.diversityUpperBound(pts, kTotal)
+    val start = Gonzalez.diversityUpperBound(pts, in.kTotal)
     // Σk_j = 1, or fewer than Σk_j distinct locations (start 0): every fair
     // set has diversity 0. The sweep rejects the same starts; this skips the
     // tree build.
@@ -112,14 +109,14 @@ object MFD {
 
     val n = pts.length
     val tree = KdTree.build(pts)
-    val T = math.max(1, math.ceil(cfg.g * kTotal * math.log(math.max(2, n)) / (cfg.eps * cfg.eps)).toInt)
+    val T = math.max(1, math.ceil(cfg.g * in.kTotal * math.log(math.max(2, n)) / (cfg.eps * cfg.eps)).toInt)
 
     Sweep.geometric(start, GammaDecay, MaxGammaSteps, cfg.deadlineNanos) { gamma =>
       // Canonical node lists are a function of (point, γ) only; rounding
       // reuses them at the same radius.
       val r = gamma / (2.0 * (1.0 + cfg.eps))
       val canon = Array.tabulate(n)(i => tree.canonicalNodes(pts(i).x, r, cfg.eps))
-      solveGamma(tree, canon, colorIdx, kOf, kTotal, cfg, T).map { case (xhat, iters) =>
+      solveGamma(tree, canon, in, cfg, T).map { case (xhat, iters) =>
         (round(pts, tree, canon, xhat, cfg.seed), iters)
       }
     } match {
@@ -142,12 +139,11 @@ object MFD {
   private def solveGamma(
       tree: KdTree,
       canon: Array[Array[Int]],
-      colorIdx: Array[Array[Int]],
-      kOf: Array[Int],
-      kTotal: Int,
+      in: Instance,
       cfg: Config,
       T: Int
   ): Option[(Array[Double], Int)] = {
+    import in.{colorIdx, kOf, kTotal}
     val n = canon.length
     val h = Array.fill(n)(1.0 / n)
     val xhat = new Array[Double](n)

@@ -30,9 +30,10 @@ object Sweep {
 
   /** The fair, diversity-agnostic fallback: the `min(k_j, |P(c_j)|)`
     * farthest-first (Gonzalez) points of each color of `k`, in `k`'s order.
+    * Rejects what [[Instance]] rejects.
     */
-  def fallback(pts: Array[LabeledPoint], k: Map[Int, Int]): Array[LabeledPoint] = {
-    val byColor = Coreset.perColor(pts.filter(p => k.contains(p.color)), k).toMap
-    k.keysIterator.flatMap(c => byColor.getOrElse(c, Array.empty[LabeledPoint])).toArray
-  }
+  def fallback(pts: Array[LabeledPoint], k: Map[Int, Int]): Array[LabeledPoint] = fallback(new Instance(pts, k))
+
+  def fallback(in: Instance): Array[LabeledPoint] =
+    in.colors.indices.flatMap(j => Gonzalez.centers(in.colorIdx(j).map(in.pts), in.kOf(j))).toArray
 }

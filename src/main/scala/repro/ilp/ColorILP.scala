@@ -1,6 +1,6 @@
 package repro.ilp
 
-import repro.core.{LabeledPoint, Points}
+import repro.core.{Instance, Points}
 
 /** Exact feasibility solver for the FMMD-S inner integer program:
   * given candidates with colors and a distance threshold δ, decide whether a
@@ -23,13 +23,12 @@ object ColorILP {
   case object Infeasible extends Outcome
   case object BudgetExhausted extends Outcome
 
-  /** @param pts        candidate points
-    * @param k          color → exact count required
+  /** @param in         candidate points, and color → exact count required
     * @param delta      minimum allowed pairwise distance
     * @param nodeBudget max search-tree nodes before giving up
     */
-  def solve(pts: Array[LabeledPoint], k: Map[Int, Int], delta: Double,
-            nodeBudget: Long = 2000000L): Outcome = {
+  def solve(in: Instance, delta: Double, nodeBudget: Long = 2000000L): Outcome = {
+    val pts = in.pts
     val n = pts.length
     val deltaSq = delta * delta
     // Conflict adjacency as bitsets (n ≤ a few thousand).
@@ -49,11 +48,12 @@ object ColorILP {
     }
     val degree = Array.tabulate(n)(i => adj(i).map(java.lang.Long.bitCount(_).toLong).sum.toInt)
 
-    // Colors ordered by scarcity (fewest candidates per required point first).
-    val colors = k.keys.toArray.sortBy(c => pts.count(_.color == c).toDouble / math.max(1, k(c)))
-    // Candidate order within a color: low conflict degree first.
-    val byColor: Map[Int, Array[Int]] =
-      colors.map(c => c -> pts.indices.filter(pts(_).color == c).sortBy(degree).toArray).toMap
+    // Colors ordered by scarcity (fewest candidates per required point
+    // first; a stable sort over `k`'s order), each color's candidates by
+    // low conflict degree first.
+    val order = in.colors.indices.sortBy(j => in.colorIdx(j).length.toDouble / math.max(1, in.kOf(j)))
+    val kAt = order.map(in.kOf).toArray
+    val byColor = order.map(j => in.colorIdx(j).sortBy(degree)).toArray
 
     val forbidden = new Array[Long](words) // union of neighborhoods of chosen points
     val chosen = new scala.collection.mutable.ArrayBuffer[Int]()
@@ -68,13 +68,12 @@ object ColorILP {
       */
     def search(ci: Int, need: Int, from: Int): Boolean = {
       if (exhausted) return false
-      if (ci == colors.length) return true
+      if (ci == byColor.length) return true
       nodes += 1
       if (nodes > nodeBudget) { exhausted = true; return false }
-      val c = colors(ci)
       if (need == 0)
-        return search(ci + 1, if (ci + 1 < colors.length) k(colors(ci + 1)) else 0, 0)
-      val cands = byColor(c)
+        return search(ci + 1, if (ci + 1 < byColor.length) kAt(ci + 1) else 0, 0)
+      val cands = byColor(ci)
       var idx = from
       while (idx <= cands.length - need) {
         val p = cands(idx)
@@ -93,7 +92,7 @@ object ColorILP {
       false
     }
 
-    val ok = search(0, if (colors.nonEmpty) k(colors(0)) else 0, 0)
+    val ok = search(0, kAt(0), 0) // an Instance has a color
     if (ok) Feasible(chosen.toArray)
     else if (exhausted) BudgetExhausted
     else Infeasible

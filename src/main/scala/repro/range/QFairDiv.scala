@@ -1,6 +1,6 @@
 package repro.range
 
-import repro.core.{Coreset, LabeledPoint, MFD}
+import repro.core.{Coreset, Instance, LabeledPoint, MFD}
 import repro.geo.KdTree
 import scala.collection.mutable.ArrayBuffer
 
@@ -18,10 +18,14 @@ import scala.collection.mutable.ArrayBuffer
   * (k-center composability), i.e. a FairDiv coreset for the range — MFD
   * finishes the job. Query cost is polylogarithmic in n for fixed k, m.
   *
+  * The constructor rejects points that [[Instance.checkPoints]] rejects and
+  * [[query]] a `k` that [[Instance.checkK]] rejects, naming the id or color.
+  *
   * @param kMax largest per-query k supported by the samples
   */
 final class QFairDiv(pts: Array[LabeledPoint], kMax: Int) {
   require(pts.nonEmpty)
+  Instance.checkPoints(pts)
   private val dim = pts(0).x.length
   private val bucket = math.max(4 * kMax, 64)
   private val tree = KdTree.build(pts)
@@ -71,7 +75,7 @@ final class QFairDiv(pts: Array[LabeledPoint], kMax: Int) {
     */
   def query(qlo: Array[Double], qhi: Array[Double], k: Map[Int, Int],
             cfg: MFD.Config = MFD.Config()): MFD.Result = {
-    val kTotal = k.values.sum
+    val kTotal = Instance.checkK(k)
     require(kTotal <= kMax, s"Σ k_j = $kTotal exceeds kMax = $kMax, the per-color sample size")
     val coreset = rangeCoreset(qlo, qhi, kTotal)
     val attainable = MFD.attainable(coreset, k)

@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.core.{Coreset, Deadline, LabeledPoint, MFD, Points, Sweep}
+import repro.core.{Coreset, Deadline, Gonzalez, LabeledPoint, MFD, Points, Sweep}
 
 /** Contract tests shared by every baseline: fairness of the returned set,
   * membership in the input, no duplicates; plus per-algorithm guarantees
@@ -117,10 +117,18 @@ class BaselinesSpec extends AnyFunSuite {
   test("SFDM-2 streaming state is bounded by levels × (m+1) × k") {
     val pts = TestUtil.clusteredPoints(1000, 2, 3, 6, 107L)
     val k = Map(0 -> 3, 1 -> 3, 2 -> 3)
-    val algo = SFDM2.create(pts, k, 0.5)
+    val eps = 0.5
+    val algo = SFDM2.create(pts, k, eps)
     pts.foreach(algo.insert)
     val kTotal = k.values.sum
-    assert(algo.storedCount <= algo.levelCount * (k.size + 1) * kTotal)
+    // The μ grid `SFDM2.create` derives: d_max = d_G at Σk_j, d_min the least
+    // non-zero distance in the Σk_j coreset; μ = 0, then d_min·(1+ε)^i up to
+    // d_max·(1+ε), at most 400 of them.
+    val cs = Coreset.local(pts, kTotal)
+    val dMin = (for (i <- cs.indices; j <- i + 1 until cs.length) yield Points.dist(cs(i).x, cs(j).x)).filter(_ > 0).min
+    val dMax = Gonzalez.diversityUpperBound(pts, kTotal)
+    val levelCount = 1 + Iterator.iterate(dMin)(_ * (1 + eps)).takeWhile(_ <= dMax * (1 + eps)).take(400).length
+    assert(algo.storedCount <= levelCount * (k.size + 1) * kTotal)
   }
 
   test("SFDM-2 returns Sweep.fallback of the mu = 0 level when a color is scarcer than k_j") {

@@ -2,7 +2,7 @@ package repro.ilp
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.core.Points
+import repro.core.{Instance, Points}
 
 /** Branch-and-bound color-constrained independent-set feasibility, checked
   * against exhaustive enumeration on small instances.
@@ -38,7 +38,7 @@ class ColorILPSpec extends AnyFunSuite {
       val k = Map(0 -> math.min(2, pts.count(_.color == 0)),
                   1 -> math.min(2, pts.count(_.color == 1)))
       for (delta <- Seq(1.0, 5.0, 10.0, 15.0, 22.0)) {
-        val got = ColorILP.solve(pts, k, delta)
+        val got = ColorILP.solve(new Instance(pts, k), delta)
         val expected = refFeasible(pts, k, delta)
         got match {
           case ColorILP.Feasible(sel) =>
@@ -61,24 +61,24 @@ class ColorILPSpec extends AnyFunSuite {
   test("zero delta is feasible whenever counts allow") {
     val pts = TestUtil.randomPoints(12, 2, 3, 3L)
     val k = Points.colorCounts(pts.toSeq).map { case (c, n) => c -> math.min(2, n) }
-    assert(ColorILP.solve(pts, k, 0.0).isInstanceOf[ColorILP.Feasible])
+    assert(ColorILP.solve(new Instance(pts, k), 0.0).isInstanceOf[ColorILP.Feasible])
   }
 
   test("impossible counts are infeasible at any delta") {
     val pts = TestUtil.randomPoints(8, 2, 2, 4L)
     val k = Map(0 -> (pts.count(_.color == 0) + 1))
-    assert(ColorILP.solve(pts, k, 0.0) == ColorILP.Infeasible)
+    assert(ColorILP.solve(new Instance(pts, k), 0.0) == ColorILP.Infeasible)
   }
 
   test("huge delta with spread points is infeasible") {
     val pts = TestUtil.randomPoints(10, 2, 1, 6L, span = 10.0)
-    assert(ColorILP.solve(pts, Map(0 -> 3), 1e6) == ColorILP.Infeasible)
+    assert(ColorILP.solve(new Instance(pts, Map(0 -> 3)), 1e6) == ColorILP.Infeasible)
   }
 
   test("node budget exhaustion is reported, not mislabeled") {
     // Dense conflict graph with many near-feasible branches and a tiny budget.
     val pts = TestUtil.randomPoints(60, 2, 1, 8L, span = 100.0)
-    val out = ColorILP.solve(pts, Map(0 -> 12), 28.0, nodeBudget = 3)
+    val out = ColorILP.solve(new Instance(pts, Map(0 -> 12)), 28.0, nodeBudget = 3)
     assert(out == ColorILP.BudgetExhausted || out == ColorILP.Infeasible ||
       out.isInstanceOf[ColorILP.Feasible]) // any outcome is legal; just no crash
   }
